@@ -160,21 +160,28 @@ int compilation_distance(const Compilation& a, const Compilation& b) {
 
 namespace {
 
+/// Probes spent by one cluster's confirming bisects.
+struct PairCost {
+  long long executions = 0;
+  long long memo_hits = 0;
+};
+
 /// Picks the cluster's minimal adversarial pair: candidates are every
 /// (bitwise-equal baseline, member variable) pair of the first member's
 /// test, tried in ascending compilation_distance order with a confirming
 /// bisect each, until one reproduces the cluster's (files, symbols)
 /// signature.  Falls back to (campaign baseline, first member) -- already
 /// confirmed by that member's own bisect -- when no candidate within the
-/// attempt budget re-verifies.
-void select_adversarial_pair(const fpsem::CodeModel* model,
-                             const core::TestRegistry& registry,
-                             const CampaignInput& input,
-                             const BlameOptions& opts,
-                             toolchain::CompilationCache& cache,
-                             core::ProbeMemo* memo, BlameReport& report,
-                             BlameCluster& cluster) {
-  const CellOutcome& rep = report.cells[cluster.members.front()];
+/// attempt budget re-verifies.  Writes only `cluster.pair`.
+PairCost select_adversarial_pair(const fpsem::CodeModel* model,
+                                 const core::TestRegistry& registry,
+                                 const CampaignInput& input,
+                                 const BlameOptions& opts,
+                                 toolchain::CompilationCache& cache,
+                                 core::ProbeMemo* memo,
+                                 const std::vector<CellOutcome>& cells,
+                                 BlameCluster& cluster) {
+  const CellOutcome& rep = cells[cluster.members.front()];
   const std::string& test_name = rep.cell.test;
 
   std::vector<Compilation> baselines;
@@ -189,7 +196,7 @@ void select_adversarial_pair(const fpsem::CodeModel* model,
 
   std::vector<Compilation> variables;
   for (const std::size_t m : cluster.members) {
-    const Cell& c = report.cells[m].cell;
+    const Cell& c = cells[m].cell;
     if (c.test != test_name) continue;
     if (std::find(variables.begin(), variables.end(), c.variable) ==
         variables.end()) {
@@ -255,6 +262,7 @@ void select_adversarial_pair(const fpsem::CodeModel* model,
                                        1, opts.adversarial_attempts)
                                  : opts.adversarial_attempts;
 
+  PairCost cost;
   std::vector<std::string> files, symbols;
   const std::size_t attempts = std::min(budget, cands.size());
   for (std::size_t a = 0; a < attempts; ++a) {
@@ -274,8 +282,8 @@ void select_adversarial_pair(const fpsem::CodeModel* model,
     } catch (const std::exception&) {
       continue;  // a crashing candidate pair cannot confirm anything
     }
-    report.executions += out.executions;
-    report.memo_hits += out.memo_hits;
+    cost.executions += out.executions;
+    cost.memo_hits += out.memo_hits;
     if (out.crashed) continue;
     outcome_signature(out, files, symbols);
     if (files == cluster.files && symbols == cluster.symbols) {
@@ -290,6 +298,7 @@ void select_adversarial_pair(const fpsem::CodeModel* model,
     }
   }
   cluster.pair = best;
+  return cost;
 }
 
 }  // namespace
@@ -335,6 +344,9 @@ BlameReport run_campaign(const fpsem::CodeModel* model,
   report.shard_stats = dist::run_sharded_campaign(
       cells.size(), opts.shard, [&](std::size_t i) {
         const Cell& cell = cells[i];
+        // Stamped by cell index, so the cell's spans do not depend on
+        // which lane ran it.
+        obs::ScopedItem item(0, i, 0);
         obs::Span span(obs::tracer_if_enabled(), "blame.cell", "blame",
                        cell.test + " @ " + cell.variable.str());
         core::BisectConfig cfg;
@@ -390,9 +402,26 @@ BlameReport run_campaign(const fpsem::CodeModel* model,
     report.clusters[it->second].members.push_back(i);
   }
 
-  for (BlameCluster& cluster : report.clusters) {
-    select_adversarial_pair(model, registry, input, opts, cache, memo_ptr,
-                            report, cluster);
+  // The pair phase runs on the same fleet, one item per cluster, stamped
+  // after the cells' indices.  Each cluster writes only its own pair and
+  // cost slot, and selection reads only finished cell outcomes and exact
+  // memo answers, so the pairs and the summed probe count do not depend
+  // on the schedule.  shard_stats keeps counting the cell phase.
+  std::vector<PairCost> pair_costs(report.clusters.size());
+  (void)dist::run_sharded_campaign(
+      report.clusters.size(), opts.shard, [&](std::size_t c) {
+        BlameCluster& cluster = report.clusters[c];
+        obs::ScopedItem item(0, cells.size() + c, 0);
+        obs::Span span(obs::tracer_if_enabled(), "blame.pair", "blame",
+                       cluster.id);
+        pair_costs[c] =
+            select_adversarial_pair(model, registry, input, opts, cache,
+                                    memo_ptr, report.cells, cluster);
+        span.set_cost(static_cast<double>(pair_costs[c].executions));
+      });
+  for (const PairCost& pc : pair_costs) {
+    report.executions += pc.executions;
+    report.memo_hits += pc.memo_hits;
   }
 
   m_cells.add(static_cast<std::uint64_t>(report.cells.size()));

@@ -18,11 +18,12 @@
 //      the closest (baseline, variable) pair still reproducing the site
 //      -- and re-verifies it with confirming bisects.
 //
-// Determinism: cells are sharded with dist::run_sharded_campaign and every
-// outcome lands at its cell index, so BlameReport::text() is
-// bitwise-identical at any shards x jobs x steal x memo setting.  The
-// only scheduling-dependent numbers (the memo hit/run split, steal
-// counts) are quarantined in stats_text().  See docs/blame-dedup.md.
+// Determinism: cells (step 2) and then clusters (step 4) run on one
+// dist::run_sharded_campaign fleet, and every outcome lands at its cell or
+// cluster index, so BlameReport::text() is bitwise-identical at any
+// shards x jobs x steal x memo setting.  The only scheduling-dependent
+// numbers (the memo hit/run split, steal counts) are quarantined in
+// stats_text().  See docs/blame-dedup.md.
 
 #include <cstddef>
 #include <map>
@@ -78,7 +79,8 @@ struct BlameOptions {
   bool memo = true;                 ///< shared probe memo on/off
   std::size_t max_cells = 0;        ///< cap on cells bisected (0 = all)
   std::size_t adversarial_attempts = 4;  ///< candidate pairs tried/cluster
-  dist::CampaignShardOptions shard;      ///< cell sharding (shards x jobs)
+  /// Fleet (shards x jobs x steal) of both phases: cells, then clusters.
+  dist::CampaignShardOptions shard;
 };
 
 struct CellOutcome {
@@ -127,7 +129,7 @@ struct BlameReport {
   /// stays out of text().
   long long memo_hits = 0;
 
-  dist::CampaignRunStats shard_stats;
+  dist::CampaignRunStats shard_stats;  ///< of the cell phase
 
   /// The deterministic clustered report: bitwise-identical at any
   /// shards x jobs x steal x memo setting.

@@ -1,8 +1,7 @@
 #include "core/hierarchy.h"
 
 #include <algorithm>
-#include <optional>
-#include <set>
+#include <span>
 #include <utility>
 
 #include "core/bisect_biggest.h"
@@ -43,7 +42,7 @@ long double BisectDriver::metric(const RunOutput& out) const {
 }
 
 RunOutput BisectDriver::execute(
-    const std::vector<toolchain::ObjectFile>& objs) {
+    std::span<const toolchain::ObjectFile* const> line) {
   ++executions_;
   // Per-probe fault scope: decisions vary deterministically across the
   // probes of one search (the execution ordinal is driver-local, so the
@@ -53,7 +52,7 @@ RunOutput BisectDriver::execute(
       "bisect|" + cfg_.variable.str() + "#" + std::to_string(executions_),
       0);
   const toolchain::Executable exe =
-      linker_.link(objs, cfg_.baseline.compiler);
+      linker_.link(line, cfg_.baseline.compiler);
   // The memo only short-circuits plain runs: an injection hook's output is
   // not a function of the binary alone, and an armed fault injector must
   // see every probe roll its run-site decision.
@@ -61,20 +60,17 @@ RunOutput BisectDriver::execute(
       FaultInjector::global().any_armed()) {
     return runner_.run(*test_, exe, cfg_.hook);
   }
-  const std::string key = ProbeMemo::key_of(test_->name(), exe);
-  if (std::optional<ProbeMemo::Entry> hit = cfg_.memo->lookup(key)) {
-    ++memo_hits_;
-    if (hit->crashed) throw ExecutionCrash(hit->crash_reason);
-    return std::move(hit->output);
-  }
-  try {
-    RunOutput out = runner_.run(*test_, exe, cfg_.hook);
-    cfg_.memo->store(key, ProbeMemo::Entry{false, {}, out});
-    return out;
-  } catch (const ExecutionCrash& e) {
-    cfg_.memo->store(key, ProbeMemo::Entry{true, e.what(), {}});
-    throw;
-  }
+  ProbeMemo::Answer answer =
+      cfg_.memo->probe(ProbeMemo::key_of(test_->name(), exe), [&] {
+        try {
+          return ProbeMemo::Entry{false, {}, runner_.run(*test_, exe)};
+        } catch (const ExecutionCrash& e) {
+          return ProbeMemo::Entry{true, e.what(), {}};
+        }
+      });
+  if (answer.hit) ++memo_hits_;
+  if (answer.entry.crashed) throw ExecutionCrash(answer.entry.crash_reason);
+  return std::move(answer.entry.output);
 }
 
 HierarchicalOutcome BisectDriver::run() {
@@ -102,8 +98,12 @@ HierarchicalOutcome BisectDriver::run() {
 HierarchicalOutcome BisectDriver::run_impl() {
   HierarchicalOutcome out;
 
+  // base_objs_[i] is the baseline object of model file i.
   base_objs_ = build_.compile_all(cfg_.baseline);
-  baseline_out_ = truncated(execute(base_objs_), cfg_.digits);
+  std::vector<const toolchain::ObjectFile*> line;
+  line.reserve(base_objs_.size());
+  for (const toolchain::ObjectFile& o : base_objs_) line.push_back(&o);
+  baseline_out_ = truncated(execute(line), cfg_.digits);
 
   // Variable-compilation objects, one per in-scope file (compilation is a
   // one-time cost; linking dominates searches).
@@ -116,24 +116,23 @@ HierarchicalOutcome BisectDriver::run_impl() {
     var_objs.push_back(build_.compile(f, cfg_.variable, /*fpic=*/false,
                                       cfg_.variable_injected));
   }
-  const auto var_index = [&](const std::string& f) {
-    return static_cast<std::size_t>(
-        std::find(files.begin(), files.end(), f) - files.begin());
-  };
+  // var_of[i]: the variable object of model file i (null out of scope).
+  std::vector<const toolchain::ObjectFile*> var_of(all_files.size(), nullptr);
+  for (std::size_t k = 0; k < files.size(); ++k) {
+    const std::size_t i = *model_->file_index(files[k]);
+    if (var_of[i] == nullptr) var_of[i] = &var_objs[k];
+  }
 
   // ---- File Bisect ------------------------------------------------------
   MemoizedTest<std::string> file_test(
       [&](const std::vector<std::string>& subset) -> double {
-        std::vector<toolchain::ObjectFile> objs;
-        objs.reserve(all_files.size());
         for (std::size_t i = 0; i < all_files.size(); ++i) {
           const bool variable =
               std::find(subset.begin(), subset.end(), all_files[i]) !=
               subset.end();
-          objs.push_back(variable ? var_objs[var_index(all_files[i])]
-                                  : base_objs_[i]);
+          line[i] = variable ? var_of[i] : &base_objs_[i];
         }
-        return static_cast<double>(metric(execute(objs)));
+        return static_cast<double>(metric(execute(line)));
       });
 
   try {
@@ -219,35 +218,38 @@ void BisectDriver::symbol_phase(FileFinding& finding) {
   const toolchain::ObjectFile base_fpic =
       build_.compile(file, cfg_.baseline, /*fpic=*/true);
 
-  const auto objects_with = [&](const toolchain::ObjectFile& a,
-                                const toolchain::ObjectFile* b =
-                                    nullptr) {
-    std::vector<toolchain::ObjectFile> objs;
-    for (const toolchain::ObjectFile& o : base_objs_) {
-      if (o.source_file != file) objs.push_back(o);
-    }
-    objs.push_back(a);
-    if (b != nullptr) objs.push_back(*b);
-    return objs;
+  // Every baseline object but the file's own, then the probe's copies.
+  std::vector<const toolchain::ObjectFile*> line;
+  for (const toolchain::ObjectFile& o : base_objs_) {
+    if (o.source_file != file) line.push_back(&o);
+  }
+  const std::size_t others = line.size();
+  const auto line_with = [&](const toolchain::ObjectFile& a,
+                             const toolchain::ObjectFile* b = nullptr) {
+    line.resize(others);
+    line.push_back(&a);
+    if (b != nullptr) line.push_back(b);
+    return std::span<const toolchain::ObjectFile* const>(line);
   };
 
   try {
     // -fPIC pre-check: does the variability survive the recompile?
-    if (metric(execute(objects_with(var_fpic))) == 0.0L) {
+    if (metric(execute(line_with(var_fpic))) == 0.0L) {
       finding.status = FileFinding::SymbolStatus::VanishedUnderFpic;
       finding.note = "variability removed by -fPIC; reporting file only";
       return;
     }
 
+    // The two objcopy'd copies, re-weakened in place by every probe.
+    toolchain::ObjectFile v = var_fpic;
+    toolchain::ObjectFile b = base_fpic;
     MemoizedTest<std::string> sym_test(
         [&](const std::vector<std::string>& chosen) -> double {
           // Variable copy: chosen symbols strong, others weak.
           // Baseline copy: chosen symbols weak, others strong.
-          toolchain::ObjectFile v =
-              toolchain::objcopy_weaken_complement(var_fpic, chosen);
-          toolchain::ObjectFile b =
-              toolchain::objcopy_weaken(base_fpic, chosen);
-          return static_cast<double>(metric(execute(objects_with(v, &b))));
+          toolchain::objcopy_weaken_complement_into(v, var_fpic, chosen);
+          toolchain::objcopy_weaken_into(b, base_fpic, chosen);
+          return static_cast<double>(metric(execute(line_with(v, &b))));
         });
 
     if (cfg_.k > 0) {

@@ -9,6 +9,7 @@
 // file with -fPIC makes the variability vanish, the search cannot go
 // deeper and the file itself is reported.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,10 @@ class BisectDriver {
  private:
   [[nodiscard]] HierarchicalOutcome run_impl();
   [[nodiscard]] long double metric(const RunOutput& out) const;
-  [[nodiscard]] RunOutput execute(const std::vector<toolchain::ObjectFile>& objs);
+  /// Links and runs one probe.  `line` borrows its objects (base_objs_,
+  /// the variable build, Symbol Bisect's copies): no probe copies one.
+  [[nodiscard]] RunOutput execute(
+      std::span<const toolchain::ObjectFile* const> line);
   void symbol_phase(FileFinding& finding);
 
   const fpsem::CodeModel* model_;

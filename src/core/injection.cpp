@@ -1,12 +1,29 @@
 #include "core/injection.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "toolchain/build.h"
 #include "toolchain/linker.h"
 #include "toolchain/semantics_rules.h"
 
 namespace flit::core {
+
+namespace {
+
+/// The repository-relative form of a std::source_location file name: its
+/// suffix from the last `src/` path component
+/// ("/any/checkout/src/lulesh/eos.cpp" -> "src/lulesh/eos.cpp"), or the
+/// name itself when it has none.
+std::string_view repo_relative(std::string_view file) {
+  for (std::size_t pos = file.rfind("src/"); pos != std::string_view::npos;
+       pos = pos == 0 ? std::string_view::npos : file.rfind("src/", pos - 1)) {
+    if (pos == 0 || file[pos - 1] == '/') return file.substr(pos);
+  }
+  return file;
+}
+
+}  // namespace
 
 const char* to_string(InjectionVerdict v) {
   switch (v) {
@@ -38,7 +55,8 @@ std::vector<fpsem::InjectionSite> InjectionCampaign::enumerate_sites() const {
 
 double InjectionCampaign::draw_eps(const fpsem::InjectionSite& site,
                                    fpsem::InjectOp op) {
-  const std::string key = site.file + ":" + std::to_string(site.line) + ":" +
+  const std::string key = std::string(repo_relative(site.file)) + ":" +
+                          std::to_string(site.line) + ":" +
                           std::to_string(site.column) + ":" +
                           std::to_string(static_cast<int>(op));
   const std::uint64_t h = toolchain::stable_hash(key);

@@ -70,7 +70,9 @@ class InjectionCampaign {
   /// deterministically per experiment.
   [[nodiscard]] std::vector<InjectionReport> run_all() const;
 
-  /// Deterministic eps in (0, 1) for (site, op).
+  /// Deterministic eps in (0, 1) for (site, op).  It hashes the site's
+  /// repository-relative file name -- the suffix from the last `src/`
+  /// path component -- so where the checkout lives does not move it.
   [[nodiscard]] static double draw_eps(const fpsem::InjectionSite& site,
                                        fpsem::InjectOp op);
 

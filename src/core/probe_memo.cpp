@@ -55,6 +55,39 @@ void ProbeMemo::store(const std::string& key, Entry entry) {
   map_.try_emplace(key, std::move(entry));
 }
 
+ProbeMemo::Answer ProbeMemo::probe(const std::string& key,
+                                   const std::function<Entry()>& run) {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++probes_;
+    // Another prober holds the key: wait until it stores or gives up.
+    landed_.wait(lock, [&] { return !in_flight_.contains(key); });
+    if (const auto it = map_.find(key); it != map_.end()) {
+      ++hits_;
+      return Answer{it->second, true};
+    }
+    in_flight_.insert(key);  // claimed: this call runs it
+  }
+  Answer answer;
+  try {
+    answer.entry = run();
+  } catch (...) {
+    release(key, nullptr);
+    throw;
+  }
+  release(key, &answer.entry);
+  return answer;
+}
+
+void ProbeMemo::release(const std::string& key, const Entry* entry) {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (entry != nullptr) map_.try_emplace(key, *entry);
+    in_flight_.erase(key);
+  }
+  landed_.notify_all();
+}
+
 ProbeMemo::Stats ProbeMemo::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return Stats{probes_, hits_, static_cast<std::uint64_t>(map_.size())};

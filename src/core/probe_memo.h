@@ -16,12 +16,23 @@
 // runner, so the cached answer is exact, not approximate.  Linking still
 // happens every probe (it is cheap and produces the key); only the run
 // is skipped.
+//
+// Single flight: when concurrent probes miss on one key, probe() runs it
+// once.  The first prober claims the key; later ones block until its
+// entry lands and are answered from it, so real executions equal the
+// number of distinct executables at any concurrency.  The claim is
+// released on every exit path: together with the store, or before an
+// exception from the run propagates, in which case one waiter claims the
+// key and runs it.
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/runner.h"
 #include "toolchain/linker.h"
@@ -42,9 +53,17 @@ class ProbeMemo {
   };
 
   struct Stats {
-    std::uint64_t probes = 0;   ///< lookup() calls
-    std::uint64_t hits = 0;     ///< lookups answered from cache
+    std::uint64_t probes = 0;   ///< lookup() and probe() calls
+    std::uint64_t hits = 0;     ///< of which answered from cache
     std::uint64_t entries = 0;  ///< distinct executables stored
+  };
+
+  /// A probe() result: the entry, and whether it came from the memo
+  /// (stored earlier, or by the concurrent prober this call waited for)
+  /// rather than from this call's own run.
+  struct Answer {
+    Entry entry;
+    bool hit = false;
   };
 
   /// Content key of linked executable `exe` under test `test_name`.
@@ -62,11 +81,25 @@ class ProbeMemo {
   /// harmless.
   void store(const std::string& key, Entry entry);
 
+  /// Single-flight probe: answers `key` from the memo, waiting for an
+  /// in-flight prober of the same key; otherwise claims it, calls `run`
+  /// (which reports a crash in the Entry instead of throwing) and stores
+  /// the result.  Counts a probe, and a hit unless `run` was called.
+  /// Exceptions from `run` propagate after the claim is released.
+  [[nodiscard]] Answer probe(const std::string& key,
+                             const std::function<Entry()>& run);
+
   [[nodiscard]] Stats stats() const;
 
  private:
+  /// Drops probe()'s claim on `key`, first storing `entry` if non-null,
+  /// and wakes the probers waiting on it.
+  void release(const std::string& key, const Entry* entry);
+
   mutable std::mutex mu_;
+  std::condition_variable landed_;  ///< an in-flight claim was released
   std::unordered_map<std::string, Entry> map_;
+  std::unordered_set<std::string> in_flight_;  ///< claimed, not stored
   std::uint64_t probes_ = 0;
   std::uint64_t hits_ = 0;
 };

@@ -18,9 +18,28 @@ FunctionId CodeModel::add(FunctionInfo info) {
   }
   const auto id = static_cast<FunctionId>(fns_.size());
   by_name_.emplace(info.name, id);
-  auto [it, inserted] = by_file_.try_emplace(info.file);
-  if (inserted) files_.push_back(info.file);
-  it->second.push_back(id);
+  const auto [it, inserted] = file_ids_.try_emplace(info.file, files_.size());
+  if (inserted) {
+    files_.push_back(info.file);
+    file_fns_.emplace_back();
+  }
+  file_fns_[it->second].push_back(id);
+
+  // Host ids resolve in either registration order.
+  hosts_.push_back(kInvalidFunction);
+  if (!info.exported) {
+    if (const auto host = by_name_.find(info.host_symbol);
+        host != by_name_.end()) {
+      hosts_[id] = host->second;
+    } else {
+      pending_hosts_[info.host_symbol].push_back(id);
+    }
+  }
+  if (const auto waiting = pending_hosts_.find(info.name);
+      waiting != pending_hosts_.end()) {
+    for (const FunctionId internal : waiting->second) hosts_[internal] = id;
+    pending_hosts_.erase(waiting);
+  }
   fns_.push_back(std::move(info));
   return id;
 }
@@ -41,10 +60,16 @@ std::optional<FunctionId> CodeModel::find(std::string_view name) const {
   return it->second;
 }
 
-std::vector<FunctionId> CodeModel::functions_in(std::string_view file) const {
-  auto it = by_file_.find(std::string(file));
-  if (it == by_file_.end()) return {};
+std::optional<std::size_t> CodeModel::file_index(std::string_view file) const {
+  const auto it = file_ids_.find(file);
+  if (it == file_ids_.end()) return std::nullopt;
   return it->second;
+}
+
+std::vector<FunctionId> CodeModel::functions_in(std::string_view file) const {
+  const std::optional<std::size_t> f = file_index(file);
+  if (!f.has_value()) return {};
+  return file_fns_[*f];
 }
 
 std::vector<std::string> CodeModel::exported_symbols_of(

@@ -7,6 +7,7 @@
 // symbol).  FLiT Bisect searches over exactly this structure.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -72,6 +73,18 @@ class CodeModel {
     return files_;
   }
 
+  /// Position of `file` in files(), or nullopt when no function lives in
+  /// it.
+  [[nodiscard]] std::optional<std::size_t> file_index(
+      std::string_view file) const;
+
+  /// For an internal function: the id of its host symbol, or
+  /// kInvalidFunction while no function of that name is registered.
+  /// kInvalidFunction for exported functions.
+  [[nodiscard]] FunctionId host_of(FunctionId id) const {
+    return hosts_.at(id);
+  }
+
   /// All functions defined in `file` (exported and internal).
   [[nodiscard]] std::vector<FunctionId> functions_in(
       std::string_view file) const;
@@ -91,10 +104,23 @@ class CodeModel {
   [[nodiscard]] double average_functions_per_file() const;
 
  private:
+  /// Transparent string hashing, so string_view lookups do not allocate.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<FunctionInfo> fns_;
+  std::vector<FunctionId> hosts_;  ///< host_of(), parallel to fns_
   std::unordered_map<std::string, FunctionId> by_name_;
+  /// Internal functions registered before their host, by host name.
+  std::unordered_map<std::string, std::vector<FunctionId>> pending_hosts_;
   std::vector<std::string> files_;
-  std::unordered_map<std::string, std::vector<FunctionId>> by_file_;
+  std::vector<std::vector<FunctionId>> file_fns_;  ///< parallel to files_
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+      file_ids_;
 };
 
 /// The process-wide model that statically-registered application kernels

@@ -1,57 +1,78 @@
 #include "toolchain/linker.h"
 
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <cstddef>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/faults.h"
 #include "toolchain/semantics_rules.h"
 
 namespace flit::toolchain {
 
+namespace {
+
+/// "No object": an unresolved symbol, or a source file outside the model.
+constexpr std::size_t kNone = ~std::size_t{0};
+
+}  // namespace
+
 Executable Linker::link(std::span<const ObjectFile> objects,
+                        const CompilerSpec& link_compiler) const {
+  std::vector<const ObjectFile*> line;
+  line.reserve(objects.size());
+  for (const ObjectFile& o : objects) line.push_back(&o);
+  return link(line, link_compiler);
+}
+
+Executable Linker::link(std::span<const ObjectFile* const> objects,
                         const CompilerSpec& link_compiler) const {
   if (core::FaultInjector::global().any_armed()) {
     core::FaultInjector::global().maybe_fail(
         core::FaultSite::Link, "link|" + link_compiler.name);
   }
   const std::size_t n_fns = model_->function_count();
+  const std::vector<std::string>& files = model_->files();
   Executable exe;
   exe.map = fpsem::SemanticsMap(n_fns);
   exe.from_injected.assign(n_fns, false);
 
   // --- coverage check: every model file must appear on the link line ---
-  std::set<std::string> covered;
-  for (const ObjectFile& o : objects) covered.insert(o.source_file);
-  for (const std::string& f : model_->files()) {
-    if (!covered.contains(f)) {
+  // file_of[i] is the model file index of objects[i] (kNone outside it).
+  std::vector<std::size_t> file_of(objects.size(), kNone);
+  std::vector<char> covered(files.size(), 0);
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    if (const std::optional<std::size_t> f =
+            model_->file_index(objects[i]->source_file)) {
+      file_of[i] = *f;
+      covered[*f] = 1;
+    }
+  }
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    if (covered[f] == 0) {
       throw LinkError(LinkError::Kind::MissingFile,
-                      "no object file provides " + f);
+                      "no object file provides " + files[f]);
     }
   }
 
   // --- symbol resolution -----------------------------------------------
-  // winner[symbol] = index of the object whose definition is kept.
-  std::unordered_map<std::string, std::size_t> winner;
+  // winner[fn] = index of the object whose definition is kept: a strong
+  // definition always wins, otherwise the first weak one in link order.
+  std::vector<std::size_t> winner(n_fns, kNone);
   {
-    std::unordered_map<std::string, std::size_t> strong_count;
+    std::vector<char> strong(n_fns, 0);
     for (std::size_t i = 0; i < objects.size(); ++i) {
-      for (const SymbolDef& s : objects[i].symbols) {
+      for (const SymbolDef& s : objects[i]->symbols) {
         if (s.strong) {
-          if (++strong_count[s.name] > 1) {
+          if (strong.at(s.fn) != 0) {
             throw LinkError(LinkError::Kind::DuplicateStrong,
                             "duplicate strong symbol " + s.name);
           }
-          winner[s.name] = i;  // strong always wins
-        } else if (!winner.contains(s.name)) {
-          winner.emplace(s.name, i);  // first weak wins provisionally
+          strong[s.fn] = 1;
+          winner[s.fn] = i;
+        } else if (winner.at(s.fn) == kNone) {
+          winner[s.fn] = i;
         }
-      }
-    }
-    // A later strong definition must override an earlier weak one.
-    for (std::size_t i = 0; i < objects.size(); ++i) {
-      for (const SymbolDef& s : objects[i].symbols) {
-        if (s.strong) winner[s.name] = i;
       }
     }
   }
@@ -59,21 +80,19 @@ Executable Linker::link(std::span<const ObjectFile> objects,
   // Every exported function of the model must be resolved.
   for (std::size_t id = 0; id < n_fns; ++id) {
     const auto& fi = model_->info(static_cast<fpsem::FunctionId>(id));
-    if (fi.exported && !winner.contains(fi.name)) {
+    if (fi.exported && winner[id] == kNone) {
       throw LinkError(LinkError::Kind::Unresolved,
                       "unresolved symbol " + fi.name);
     }
   }
 
-  // --- bind exported functions to their winning object ------------------
-  for (const auto& [sym, obj_idx] : winner) {
-    const ObjectFile& o = objects[obj_idx];
-    for (const SymbolDef& s : o.symbols) {
-      if (s.name == sym) {
-        exe.map.binding(s.fn) = o.bindings.at(s.fn);
-        exe.from_injected[s.fn] = o.injected;
-      }
-    }
+  // --- bind resolved symbols to their winning object --------------------
+  for (std::size_t id = 0; id < n_fns; ++id) {
+    if (winner[id] == kNone) continue;
+    const auto fid = static_cast<fpsem::FunctionId>(id);
+    const ObjectFile& o = *objects[winner[id]];
+    exe.map.binding(fid) = o.bindings.at(fid);
+    exe.from_injected[fid] = o.injected;
   }
 
   // --- bind internal functions through their host symbol ----------------
@@ -82,15 +101,21 @@ Executable Linker::link(std::span<const ObjectFile> objects,
     const auto& fi = model_->info(fid);
     if (fi.exported) continue;
     const ObjectFile* home = nullptr;
-    if (auto it = winner.find(fi.host_symbol); it != winner.end()) {
-      const ObjectFile& w = objects[it->second];
-      if (w.bindings.contains(fid)) home = &w;  // host's copy of the file
+    const fpsem::FnBinding* binding = nullptr;
+    if (const fpsem::FunctionId host = model_->host_of(fid);
+        host != fpsem::kInvalidFunction && winner[host] != kNone) {
+      const ObjectFile& w = *objects[winner[host]];
+      if (const auto it = w.bindings.find(fid); it != w.bindings.end()) {
+        home = &w;  // host's copy of the file
+        binding = &it->second;
+      }
     }
     if (home == nullptr) {
       // Host symbol lives elsewhere; take the first object of our file.
-      for (const ObjectFile& o : objects) {
-        if (o.bindings.contains(fid)) {
-          home = &o;
+      for (const ObjectFile* o : objects) {
+        if (const auto it = o->bindings.find(fid); it != o->bindings.end()) {
+          home = o;
+          binding = &it->second;
           break;
         }
       }
@@ -99,7 +124,7 @@ Executable Linker::link(std::span<const ObjectFile> objects,
       throw LinkError(LinkError::Kind::Unresolved,
                       "internal function " + fi.name + " not linked");
     }
-    exe.map.binding(fid) = home->bindings.at(fid);
+    exe.map.binding(fid) = *binding;
     exe.from_injected[fid] = home->injected;
   }
 
@@ -117,36 +142,46 @@ Executable Linker::link(std::span<const ObjectFile> objects,
   // (a) ABI mixing: an Intel-compiled object linked next to GCC/Clang
   //     objects segfaults when the (file, compilation) pair is toxic.
   bool has_gnu = false;
-  for (const ObjectFile& o : objects) {
-    if (o.comp.compiler.family == CompilerFamily::GCC ||
-        o.comp.compiler.family == CompilerFamily::Clang) {
+  for (const ObjectFile* o : objects) {
+    if (o->comp.compiler.family == CompilerFamily::GCC ||
+        o->comp.compiler.family == CompilerFamily::Clang) {
       has_gnu = true;
     }
   }
   if (has_gnu) {
-    for (const ObjectFile& o : objects) {
-      if (abi_toxic(o.source_file, o.comp)) {
+    for (const ObjectFile* o : objects) {
+      if (abi_toxic(o->source_file, o->comp)) {
         exe.crashes = true;
         exe.crash_reason = "SIGSEGV: ABI-incompatible object " +
-                           o.source_file + " [" + o.comp.str() + "]";
+                           o->source_file + " [" + o->comp.str() + "]";
         break;
       }
     }
   }
   // (b) Symbol Bisect mixes: two copies of one file under different
-  //     compilations in one image.
+  //     compilations in one image.  Each object is checked against the
+  //     first object of its source file.
   if (!exe.crashes) {
-    std::map<std::string, const ObjectFile*> first_of_file;
-    for (const ObjectFile& o : objects) {
-      auto [it, inserted] = first_of_file.try_emplace(o.source_file, &o);
-      if (!inserted && !(it->second->comp == o.comp)) {
-        if (symbol_mix_toxic(o.source_file, it->second->comp, o.comp)) {
-          exe.crashes = true;
-          exe.crash_reason =
-              "SIGSEGV: fragile strong/weak interposition in " +
-              o.source_file;
-          break;
+    std::vector<const ObjectFile*> first_of_file(files.size(), nullptr);
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      const ObjectFile& o = *objects[i];
+      const ObjectFile* first = nullptr;
+      if (file_of[i] != kNone) {
+        const ObjectFile*& slot = first_of_file[file_of[i]];
+        if (slot == nullptr) slot = &o;
+        first = slot;
+      } else {
+        // A source file outside the model: scan the earlier objects.
+        for (std::size_t j = 0; first == nullptr; ++j) {
+          if (objects[j]->source_file == o.source_file) first = objects[j];
         }
+      }
+      if (first != &o && !(first->comp == o.comp) &&
+          symbol_mix_toxic(o.source_file, first->comp, o.comp)) {
+        exe.crashes = true;
+        exe.crash_reason =
+            "SIGSEGV: fragile strong/weak interposition in " + o.source_file;
+        break;
       }
     }
   }

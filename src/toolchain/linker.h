@@ -53,9 +53,16 @@ class Linker {
  public:
   explicit Linker(const fpsem::CodeModel* model) : model_(model) {}
 
-  /// Links `objects` into an executable with link driver `link_compiler`.
-  /// Every source file of the code model must be covered by at least one
-  /// object.  Throws LinkError on link-time failures.
+  /// Links the borrowed objects of link line `objects` into an executable
+  /// with link driver `link_compiler`.  Every source file of the code
+  /// model must be covered by at least one object.  Throws LinkError on
+  /// link-time failures.  Symbols resolve by FunctionId (names are unique
+  /// in a CodeModel, so SymbolDef::fn identifies a symbol).
+  [[nodiscard]] Executable link(std::span<const ObjectFile* const> objects,
+                                const CompilerSpec& link_compiler) const;
+
+  /// Same, over a contiguous array of objects (forwards through a
+  /// pointer line).
   [[nodiscard]] Executable link(std::span<const ObjectFile> objects,
                                 const CompilerSpec& link_compiler) const;
 

@@ -1,22 +1,30 @@
 // The blame-dedup campaign suite (ctest label "blame"):
 //   * ProbeMemo keying and sharing semantics -- the key covers exactly
-//     the linked executable's behavioural content, first store wins, and
-//     probes answered from the memo still count as logical executions,
+//     the linked executable's behavioural content, first store wins,
+//     concurrent misses on one key run it once, and probes answered from
+//     the memo still count as logical executions,
 //   * concurrent BisectDrivers over one CompilationCache + ProbeMemo
 //     produce findings and `executions` counts identical to a serial
 //     memo-less run (the satellite contract),
-//   * the campaign report is bitwise-identical across shards x jobs x
-//     steal x memo,
+//   * the single-flight memo runs each distinct executable once, so real
+//     executions match the memo's entries at any concurrency,
+//   * the campaign report and its trace are bitwise-identical across
+//     shards x jobs x steal x memo,
 //   * mechanism signatures, compilation distance, study/db enumeration,
 //     adversarial pairs, and the workflow's --max-bisects skip line.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blame/campaign.h"
@@ -31,6 +39,8 @@
 #include "fpsem/code_model.h"
 #include "gen/dedup.h"
 #include "gen/suite.h"
+#include "obs/export.h"
+#include "obs/session.h"
 #include "toolchain/compile_cache.h"
 #include "toolchain/compiler.h"
 #include "toolchain/linker.h"
@@ -98,6 +108,56 @@ TEST(ProbeMemo, FirstStoreWinsAndStatsCountProbes) {
   EXPECT_EQ(s.probes, 2u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.entries, 1u);
+}
+
+core::ProbeMemo::Entry answer_with_cycles(double cycles) {
+  core::RunOutput out;
+  out.cycles = cycles;
+  return core::ProbeMemo::Entry{false, "", out};
+}
+
+TEST(ProbeMemo, ConcurrentProbesOfOneKeyRunItOnce) {
+  core::ProbeMemo memo;
+  std::atomic<int> runs{0};
+  constexpr std::size_t kProbers = 8;
+  std::vector<core::ProbeMemo::Answer> answers(kProbers);
+  core::ThreadPool pool(4);
+  pool.parallel_for(kProbers, [&](std::size_t i) {
+    answers[i] = memo.probe("k", [&] {
+      ++runs;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return answer_with_cycles(5.0);
+    });
+  });
+  EXPECT_EQ(runs.load(), 1);
+  std::size_t hits = 0;
+  for (const core::ProbeMemo::Answer& a : answers) {
+    EXPECT_EQ(a.entry.output.cycles, 5.0);
+    hits += a.hit ? 1 : 0;
+  }
+  EXPECT_EQ(hits, kProbers - 1);
+  const core::ProbeMemo::Stats s = memo.stats();
+  EXPECT_EQ(s.probes, kProbers);
+  EXPECT_EQ(s.hits, kProbers - 1);
+  EXPECT_EQ(s.entries, 1u);
+}
+
+TEST(ProbeMemo, AThrowingRunReleasesItsClaim) {
+  core::ProbeMemo memo;
+  EXPECT_THROW((void)memo.probe("k",
+                                []() -> core::ProbeMemo::Entry {
+                                  throw std::runtime_error("lost runner");
+                                }),
+               std::runtime_error);
+  // Nothing was stored and the key is free: the next probe runs it.
+  const core::ProbeMemo::Answer first =
+      memo.probe("k", [] { return answer_with_cycles(3.0); });
+  EXPECT_FALSE(first.hit);
+  const core::ProbeMemo::Answer second =
+      memo.probe("k", [] { return answer_with_cycles(9.0); });
+  EXPECT_TRUE(second.hit);
+  EXPECT_EQ(second.entry.output.cycles, 3.0);
+  EXPECT_EQ(memo.stats().entries, 1u);
 }
 
 // ------------------------------------------- signatures and distance
@@ -324,6 +384,88 @@ TEST(Campaign, MemoDedupesRealExecutionsWithoutChangingLogicalCounts) {
   EXPECT_EQ(memo_off.memo_hits, 0);
   EXPECT_GT(memo_on.memo_hits, 0) << "shared-prefix probes never re-hit";
   EXPECT_LT(memo_on.executions - memo_on.memo_hits, memo_off.executions);
+}
+
+// ------------------------------------------ single-flight probe memo
+
+/// Real executions of the corpus' first cells, each bisected twice over
+/// one shared memo.  The two copies are adjacent items, so the pool runs
+/// them at once and they race on every key.  Fills `entries` with the
+/// distinct executables the memo stored.
+long long racing_real_executions(unsigned jobs, std::uint64_t& entries) {
+  Corpus& c = corpus();
+  const std::size_t n = std::min<std::size_t>(c.input.cells.size(), 6);
+  std::vector<long long> real(2 * n);
+  toolchain::CompilationCache cache;
+  core::ProbeMemo memo;
+  core::ThreadPool pool(jobs);
+  pool.parallel_for(2 * n, [&](std::size_t i) {
+    const blame::Cell& cell = c.input.cells[i / 2];
+    const auto test = c.registry.create(cell.test);
+    core::BisectConfig cfg;
+    cfg.baseline = toolchain::mfem_baseline();
+    cfg.variable = cell.variable;
+    cfg.memo = &memo;
+    core::BisectDriver driver(&c.model, test.get(), cfg, &cache);
+    const core::HierarchicalOutcome out = driver.run();
+    real[i] = out.executions - out.memo_hits;
+  });
+  entries = memo.stats().entries;
+  long long total = 0;
+  for (const long long r : real) total += r;
+  return total;
+}
+
+TEST(ConcurrentDrivers, SingleFlightMemoRunsEachExecutableOnce) {
+  std::uint64_t serial_entries = 0, parallel_entries = 0;
+  const long long serial = racing_real_executions(1, serial_entries);
+  const long long parallel = racing_real_executions(4, parallel_entries);
+  EXPECT_EQ(serial, static_cast<long long>(serial_entries));
+  EXPECT_EQ(parallel, static_cast<long long>(parallel_entries));
+  EXPECT_EQ(parallel, serial);
+}
+
+TEST(Campaign, RealExecutionsDoNotDependOnTheSchedule) {
+  Corpus& c = corpus();
+  const auto real_executions = [&](int shards, unsigned jobs, bool steal) {
+    blame::BlameOptions opts = base_options();
+    opts.shard.shards = shards;
+    opts.shard.jobs = jobs;
+    opts.shard.steal = steal;
+    const blame::BlameReport r =
+        blame::run_campaign(&c.model, c.registry, c.input, opts);
+    return r.executions - r.memo_hits;
+  };
+  const long long reference = real_executions(1, 1, false);
+  EXPECT_EQ(real_executions(1, 4, true), reference);
+  EXPECT_EQ(real_executions(2, 4, true), reference);
+  EXPECT_EQ(real_executions(4, 2, false), reference);
+}
+
+// ------------------------------------------------ trace determinism
+
+/// The campaign's drained trace, as `flit blame --trace-out t.jsonl`
+/// writes it.  The root stamp gives the calling thread the fresh tick
+/// clock a new process would have.
+std::string campaign_trace(int shards, unsigned jobs, bool steal,
+                           bool memo) {
+  (void)corpus();  // its study's spans are not the campaign's
+  obs::Tracer& tracer = obs::tracer();
+  (void)tracer.drain_sorted();
+  const obs::ScopedItem root(0, obs::kNoIndex, 0);
+  tracer.set_enabled(true);
+  (void)campaign_text(shards, jobs, steal, memo);
+  tracer.set_enabled(false);
+  return obs::events_jsonl(tracer.drain_sorted());
+}
+
+TEST(Campaign, TraceIsBitwiseIdenticalAcrossShardsJobsStealAndMemo) {
+  const std::string reference = campaign_trace(1, 1, false, true);
+  EXPECT_NE(reference.find("\"bisect\""), std::string::npos);
+  EXPECT_EQ(campaign_trace(2, 1, true, true), reference);
+  EXPECT_EQ(campaign_trace(2, 4, true, true), reference);
+  EXPECT_EQ(campaign_trace(4, 4, false, true), reference);
+  EXPECT_EQ(campaign_trace(2, 2, true, false), reference);
 }
 
 TEST(Campaign, ClustersPartitionTheBisectedCells) {

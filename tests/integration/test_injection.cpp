@@ -66,6 +66,24 @@ TEST(InjectionCampaign, EpsDrawIsDeterministicAndInUnitInterval) {
   }
 }
 
+TEST(InjectionCampaign, EpsDrawIgnoresWhereTheCheckoutLives) {
+  // std::source_location names a site's file absolutely in a default
+  // build and repository-relatively under -fmacro-prefix-map; both must
+  // draw the same eps, or Table 5 depends on the checkout path.
+  fpsem::InjectionSite relative{0, "src/lulesh/eos.cpp", 41, 17};
+  fpsem::InjectionSite absolute = relative;
+  absolute.file = "/home/someone/work/src/flit/src/lulesh/eos.cpp";
+  for (auto op : {fpsem::InjectOp::Add, fpsem::InjectOp::Div}) {
+    EXPECT_EQ(InjectionCampaign::draw_eps(absolute, op),
+              InjectionCampaign::draw_eps(relative, op));
+  }
+  // Other sites still draw other values.
+  fpsem::InjectionSite other = relative;
+  other.file = "src/lulesh/force.cpp";
+  EXPECT_NE(InjectionCampaign::draw_eps(other, fpsem::InjectOp::Add),
+            InjectionCampaign::draw_eps(relative, fpsem::InjectOp::Add));
+}
+
 TEST(InjectionCampaign, SampledExperimentsHaveNoWrongOrMissedFinds) {
   // A strided sample of the full campaign (the complete 4 * |sites| sweep
   // is bench_table5_injection); precision and recall must already be
