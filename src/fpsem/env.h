@@ -11,11 +11,25 @@
 // perturb each static instruction.  This is what makes FLiT's mixed
 // ("Franken") binaries meaningful: two functions in one execution can run
 // under different compilers' floating-point behaviour.
+//
+// Every program run evaluates each of its operations here, so the
+// per-operation path is kept short.  An env copies what its operations
+// read from the binding into value members when it opens, and decides
+// once whether anything can act on a scalar operation: an armed
+// injection hook (which may perturb the first operand) or FTZ (which may
+// flush the result).  When neither can, add/sub/mul/div/mul_add just
+// tally and compute; otherwise they also probe, through an out-of-line
+// call into the hook, and flush.  Both paths run one source copy of each
+// operation's arithmetic and tally, so results and modeled cycles never
+// depend on the path taken.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <source_location>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "fpsem/code_model.h"
@@ -58,7 +72,8 @@ class EvalContext {
  public:
   explicit EvalContext(SemanticsMap map) : map_(std::move(map)) {}
 
-  /// Opens the evaluation environment for function `id`.
+  /// Opens the evaluation environment for function `id`.  A recorder hook
+  /// reaches every env; an injector only its target function's.
   [[nodiscard]] FpEnv fn(FunctionId id);
 
   [[nodiscard]] const SemanticsMap& map() const { return map_; }
@@ -78,66 +93,76 @@ class FpEnv {
  public:
   FpEnv(const FnBinding& b, OpCounter& cnt, InjectionHook* hook,
         FunctionId fn)
-      : sem_(&b.sem), cost_(&b.cost), cnt_(&cnt), hook_(hook), fn_(fn) {}
+      : sem_(b.sem),
+        time_scale_(b.cost.time_scale),
+        bulk_scale_(b.cost.bulk_scale),
+        lanes_(b.sem.reassoc_width > 1
+                   ? static_cast<std::size_t>(b.sem.reassoc_width)
+                   : 1),
+        cnt_(&cnt),
+        hook_(hook),
+        fn_(fn),
+        checked_(hook != nullptr || b.sem.flush_subnormals) {}
 
-  [[nodiscard]] const FpSemantics& sem() const { return *sem_; }
+  [[nodiscard]] const FpSemantics& sem() const { return sem_; }
   [[nodiscard]] FunctionId fn() const { return fn_; }
 
   // ---- scalar basic operations (injection-probed) --------------------
 
   double add(double a, double b, std::source_location loc =
                                      std::source_location::current()) {
-    a = probe(a, loc);
-    tally(OpClass::Add, 1, OpCosts::kAdd);
-    return finish(wide_ ? narrow(widen(a) + widen(b)) : a + b);
+    return basic(a, loc, [this, b](double x) {
+      tally(OpClass::Add, 1, OpCosts::kAdd);
+      return wide() ? narrow(widen(x) + widen(b)) : x + b;
+    });
   }
 
   double sub(double a, double b, std::source_location loc =
                                      std::source_location::current()) {
-    a = probe(a, loc);
-    tally(OpClass::Sub, 1, OpCosts::kAdd);
-    return finish(wide_ ? narrow(widen(a) - widen(b)) : a - b);
+    return basic(a, loc, [this, b](double x) {
+      tally(OpClass::Sub, 1, OpCosts::kAdd);
+      return wide() ? narrow(widen(x) - widen(b)) : x - b;
+    });
   }
 
   double mul(double a, double b, std::source_location loc =
                                      std::source_location::current()) {
-    a = probe(a, loc);
-    tally(OpClass::Mul, 1, OpCosts::kMul);
-    return finish(wide_ ? narrow(widen(a) * widen(b)) : a * b);
+    return basic(a, loc, [this, b](double x) {
+      tally(OpClass::Mul, 1, OpCosts::kMul);
+      return wide() ? narrow(widen(x) * widen(b)) : x * b;
+    });
   }
 
   double div(double a, double b, std::source_location loc =
                                      std::source_location::current()) {
-    a = probe(a, loc);
-    if (sem_->unsafe_math) {
-      tally(OpClass::Div, 1, OpCosts::kDivFast);
-      return finish(a * (1.0 / b));
-    }
-    tally(OpClass::Div, 1, OpCosts::kDiv);
-    return finish(wide_ ? narrow(widen(a) / widen(b)) : a / b);
+    return basic(a, loc, [this, b](double x) {
+      if (sem_.unsafe_math) {
+        tally(OpClass::Div, 1, OpCosts::kDivFast);
+        return x * (1.0 / b);
+      }
+      tally(OpClass::Div, 1, OpCosts::kDiv);
+      return wide() ? narrow(widen(x) / widen(b)) : x / b;
+    });
   }
 
   /// a*b + c, contracted to fused multiply-add when the semantics allow.
   double mul_add(double a, double b, double c,
                  std::source_location loc =
                      std::source_location::current()) {
-    a = probe(a, loc);
-    if (sem_->contract_fma) {
-      tally(OpClass::Fma, 1, OpCosts::kFma);
-      return finish(std::fma(a, b, c));
-    }
-    if (wide_) {
+    return basic(a, loc, [this, b, c](double x) {
+      if (sem_.contract_fma) {
+        tally(OpClass::Fma, 1, OpCosts::kFma);
+        return std::fma(x, b, c);
+      }
       tally(OpClass::Fma, 1, OpCosts::kMul + OpCosts::kAdd);
-      return finish(narrow(widen(a) * widen(b) + widen(c)));
-    }
-    tally(OpClass::Fma, 1, OpCosts::kMul + OpCosts::kAdd);
-    return finish(a * b + c);
+      return wide() ? narrow(widen(x) * widen(b) + widen(c)) : x * b + c;
+    });
   }
 
   // ---- irrational / transcendental operations ------------------------
 
   double sqrt(double x) {
-    if (sem_->unsafe_math) {
+    if (sem_.unsafe_math) {
       // Reciprocal-sqrt seeded in single precision, two Newton steps:
       // accurate to ~1e-13 relative -- the subtle kind of deviation
       // -mrecip / -fp-model fast introduce.
@@ -162,11 +187,11 @@ class FpEnv {
                                       [](float v) { return std::cos(v); }); }
 
   double pow(double x, double y) {
-    if (sem_->unsafe_math) {
+    if (sem_.unsafe_math) {
       // exp(y * log(x)) rewrite (value-unsafe for many corner cases).
       return exp(mul(y, log(x)));
     }
-    if (sem_->fast_libm) {
+    if (sem_.fast_libm) {
       tally(OpClass::Libm, 1, OpCosts::kLibmFast);
       return finish(static_cast<double>(
           std::pow(static_cast<float>(x), static_cast<float>(y))));
@@ -184,17 +209,17 @@ class FpEnv {
   double sum(std::span<const double> v,
              std::source_location loc = std::source_location::current()) {
     tally_bulk(OpClass::Add, v.size(), OpCosts::kAdd);
-    if (sem_->extended_precision) return finish(narrow(sum_impl<long double>(v, loc)));
+    if (wide()) return finish(narrow(sum_impl<long double>(v, loc)));
     return finish(sum_impl<double>(v, loc));
   }
 
   double dot(std::span<const double> a, std::span<const double> b,
              std::source_location loc = std::source_location::current()) {
     const double per =
-        sem_->contract_fma ? OpCosts::kFma : OpCosts::kMul + OpCosts::kAdd;
-    tally_bulk(sem_->contract_fma ? OpClass::Fma : OpClass::Mul, a.size(),
+        sem_.contract_fma ? OpCosts::kFma : OpCosts::kMul + OpCosts::kAdd;
+    tally_bulk(sem_.contract_fma ? OpClass::Fma : OpClass::Mul, a.size(),
                per);
-    if (sem_->extended_precision) return finish(narrow(dot_impl<long double>(a, b, loc)));
+    if (wide()) return finish(narrow(dot_impl<long double>(a, b, loc)));
     return finish(dot_impl<double>(a, b, loc));
   }
 
@@ -202,28 +227,32 @@ class FpEnv {
   void axpy(double alpha, std::span<const double> x, std::span<double> y,
             std::source_location loc = std::source_location::current()) {
     const double per =
-        sem_->contract_fma ? OpCosts::kFma : OpCosts::kMul + OpCosts::kAdd;
-    tally_bulk(sem_->contract_fma ? OpClass::Fma : OpClass::Mul, x.size(),
+        sem_.contract_fma ? OpCosts::kFma : OpCosts::kMul + OpCosts::kAdd;
+    tally_bulk(sem_.contract_fma ? OpClass::Fma : OpClass::Mul, x.size(),
                per);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      double xi = probe(x[i], loc);
-      double r;
-      if (sem_->contract_fma) {
-        r = std::fma(alpha, xi, y[i]);
-      } else if (wide_) {
-        r = narrow(widen(alpha) * widen(xi) + widen(y[i]));
-      } else {
-        r = alpha * xi + y[i];
+    with_operand(loc, [&](auto operand) {
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const double xi = operand(x[i]);
+        double r;
+        if (sem_.contract_fma) {
+          r = std::fma(alpha, xi, y[i]);
+        } else if (wide()) {
+          r = narrow(widen(alpha) * widen(xi) + widen(y[i]));
+        } else {
+          r = alpha * xi + y[i];
+        }
+        y[i] = finish(r);
       }
-      y[i] = finish(r);
-    }
+    });
   }
 
   /// x *= alpha, elementwise.
   void scal(double alpha, std::span<double> x,
             std::source_location loc = std::source_location::current()) {
     tally_bulk(OpClass::Mul, x.size(), OpCosts::kMul);
-    for (auto& xi : x) xi = finish(probe(xi, loc) * alpha);
+    with_operand(loc, [&](auto operand) {
+      for (auto& xi : x) xi = finish(operand(xi) * alpha);
+    });
   }
 
   /// sqrt(dot(v, v)) under this function's semantics.
@@ -233,48 +262,99 @@ class FpEnv {
   }
 
  private:
+  /// Reductions up to this many lanes keep their accumulators on the
+  /// stack; wider ones fall back to the heap.
+  static constexpr std::size_t kStackLanes = 16;
+
+  /// Evaluates a scalar basic operation whose first operand is `a`:
+  /// `f` tallies the operation and computes it.  With nothing to act on
+  /// the operation (no hook armed, no FTZ) `f` runs on `a` as is;
+  /// otherwise on the probed operand, with the result flushed.  The only
+  /// call either path makes is the hook's out-of-line visit(), which is
+  /// never handed the env: an env whose address escapes to no call can
+  /// stay in registers across the kernel it is inlined into.
+  template <typename F>
+  double basic(double a, const std::source_location& loc, F f) {
+    if (!checked_) [[likely]] return f(a);
+    return finish(f(probe(a, loc)));
+  }
+
+  /// Runs `body(operand)`, where `operand` maps each element a bulk
+  /// operation reads as its first operand: the injection probe when a
+  /// hook is armed, the identity otherwise.  The choice is made once per
+  /// call, so unhooked loops carry no per-element check.
+  template <typename Body>
+  void with_operand(const std::source_location& loc, Body body) {
+    if (hook_ == nullptr) {
+      body([](double x) { return x; });
+    } else {
+      body([&](double x) { return hook_->visit(fn_, x, loc); });
+    }
+  }
+
   template <typename Acc>
   Acc sum_impl(std::span<const double> v, const std::source_location& loc) {
-    const int w = sem_->reassoc_width > 1 ? sem_->reassoc_width : 1;
-    std::vector<Acc> acc(static_cast<std::size_t>(w), Acc{0});
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      acc[i % static_cast<std::size_t>(w)] += static_cast<Acc>(probe(v[i], loc));
-    }
     Acc total{0};
-    for (const Acc& a : acc) total += a;
+    with_operand(loc, [&](auto operand) {
+      total = reduce<Acc>(v.size(), [&](Acc& lane, std::size_t i) {
+        lane += static_cast<Acc>(operand(v[i]));
+      });
+    });
     return total;
   }
 
   template <typename Acc>
   Acc dot_impl(std::span<const double> a, std::span<const double> b,
                const std::source_location& loc) {
-    const int w = sem_->reassoc_width > 1 ? sem_->reassoc_width : 1;
-    std::vector<Acc> acc(static_cast<std::size_t>(w), Acc{0});
-    const bool fma = sem_->contract_fma;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const double ai = probe(a[i], loc);
-      auto& lane = acc[i % static_cast<std::size_t>(w)];
-      if constexpr (std::is_same_v<Acc, double>) {
-        lane = fma ? std::fma(ai, b[i], lane) : lane + ai * b[i];
-      } else {
-        // extended precision dominates: products and sums both wide
-        lane += static_cast<Acc>(ai) * static_cast<Acc>(b[i]);
-      }
+    const bool fma = sem_.contract_fma;
+    Acc total{0};
+    with_operand(loc, [&](auto operand) {
+      total = reduce<Acc>(a.size(), [&](Acc& lane, std::size_t i) {
+        const double ai = operand(a[i]);
+        if constexpr (std::is_same_v<Acc, double>) {
+          lane = fma ? std::fma(ai, b[i], lane) : lane + ai * b[i];
+        } else {
+          // extended precision dominates: products and sums both wide
+          lane += static_cast<Acc>(ai) * static_cast<Acc>(b[i]);
+        }
+      });
+    });
+    return total;
+  }
+
+  /// Deals element i of [0, n) to lane i mod w, over the w = lanes_
+  /// accumulators, via `step(lane, i)`; then combines lanes 0..w-1, in
+  /// order, into Acc{0}.
+  template <typename Acc, typename Step>
+  Acc reduce(std::size_t n, Step step) const {
+    Acc stack[kStackLanes];
+    std::vector<Acc> heap;
+    Acc* acc = stack;
+    if (lanes_ > kStackLanes) {
+      heap.resize(lanes_);
+      acc = heap.data();
+    }
+    std::fill_n(acc, lanes_, Acc{0});
+    for (std::size_t i = 0, lane = 0; i < n; ++i) {
+      step(acc[lane], i);
+      if (++lane == lanes_) lane = 0;
     }
     Acc total{0};
-    for (const Acc& x : acc) total += x;
+    for (std::size_t l = 0; l < lanes_; ++l) total += acc[l];
     return total;
   }
 
   template <typename F, typename Ff>
   double libm1(double x, F precise, Ff fast) {
-    if (sem_->fast_libm) {
+    if (sem_.fast_libm) {
       tally(OpClass::Libm, 1, OpCosts::kLibmFast);
       return finish(static_cast<double>(fast(static_cast<float>(x))));
     }
     tally(OpClass::Libm, 1, OpCosts::kLibm);
     return finish(precise(x));
   }
+
+  [[nodiscard]] bool wide() const { return sem_.extended_precision; }
 
   [[nodiscard]] static long double widen(double x) {
     return static_cast<long double>(x);
@@ -288,34 +368,42 @@ class FpEnv {
   }
 
   double finish(double r) const {
-    if (sem_->flush_subnormals && r != 0.0 && std::fpclassify(r) == FP_SUBNORMAL) {
+    if (sem_.flush_subnormals && r != 0.0 && std::fpclassify(r) == FP_SUBNORMAL) {
       return std::copysign(0.0, r);
     }
     return r;
   }
 
+  // Modeled cycles are an in-order double sum: every operation adds its
+  // own n * per_op * time_scale [/ bulk_scale] as it runs.
   void tally(OpClass cls, std::uint64_t n, double per_op) {
-    cnt_->tally(cls, n, static_cast<double>(n) * per_op * cost_->time_scale);
+    cnt_->tally(cls, n, static_cast<double>(n) * per_op * time_scale_);
   }
   void tally_bulk(OpClass cls, std::uint64_t n, double per_op) {
-    cnt_->tally(cls, n, static_cast<double>(n) * per_op * cost_->time_scale /
-                            cost_->bulk_scale);
+    cnt_->tally(cls, n,
+                static_cast<double>(n) * per_op * time_scale_ / bulk_scale_);
   }
 
-  const FpSemantics* sem_;
-  const CostFactors* cost_;
+  FpSemantics sem_;
+  double time_scale_;
+  double bulk_scale_;
+  std::size_t lanes_;  ///< reduction lanes: reassoc_width, at least 1
   OpCounter* cnt_;
   InjectionHook* hook_;
   FunctionId fn_;
-  bool wide_ = false;
-
-  friend class EvalContext;
+  bool checked_;  ///< a hook is armed or FTZ is on: probe and flush
 };
 
 inline FpEnv EvalContext::fn(FunctionId id) {
-  FpEnv env(map_.binding(id), counter_, hook_, id);
-  env.wide_ = env.sem().extended_precision;
-  return env;
+  // An injector perturbs its target function only: visit() returns every
+  // other function's operands unchanged and counts no hit there, so those
+  // functions run unhooked.  A recorder sees every function.
+  InjectionHook* hook = hook_;
+  if (hook != nullptr && hook->mode() == InjectionHook::Mode::Inject &&
+      hook->target_fn() != id) {
+    hook = nullptr;
+  }
+  return FpEnv(map_.binding(id), counter_, hook, id);
 }
 
 /// Context in which every registered function runs under strict IEEE

@@ -10,11 +10,12 @@
 // single site with `x OP' eps` applied to the first operand before the
 // original `x OP y`, exactly the paper's transformation.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <source_location>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "fpsem/code_model.h"
@@ -67,12 +68,14 @@ class InjectionHook {
   /// Function containing the armed site (Inject mode only).
   [[nodiscard]] FunctionId target_fn() const { return target_.fn; }
 
-  /// Called by FpEnv for operand `x` of every basic FP instruction.
-  [[nodiscard]] double visit(FunctionId fn, double x,
-                             const std::source_location& loc) {
+  /// Called by FpEnv for operand `x` of every basic FP instruction.  Kept
+  /// out of line: FpEnv inlines into every kernel, and only hooked
+  /// operations pay for this call.
+  [[nodiscard, gnu::noinline]] double visit(
+      FunctionId fn, double x, const std::source_location& loc) {
     if (mode_ == Mode::Record) {
-      sites_.insert(InjectionSite{fn, loc.file_name(), loc.line(),
-                                  loc.column()});
+      reached_.insert(
+          ReachedSite{fn, loc.file_name(), loc.line(), loc.column()});
       return x;
     }
     if (fn == target_.fn && loc.line() == target_.line &&
@@ -90,17 +93,46 @@ class InjectionHook {
 
   /// Sites discovered in Record mode, in deterministic order.
   [[nodiscard]] std::vector<InjectionSite> sites() const {
-    return {sites_.begin(), sites_.end()};
+    std::vector<InjectionSite> out;
+    out.reserve(reached_.size());
+    for (const ReachedSite& r : reached_) {
+      out.push_back(InjectionSite{r.fn, r.file, r.line, r.column});
+    }
+    // One source file can reach visit() under two file-name pointers
+    // (e.g. a header inlined into two translation units): merge by content.
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
   }
 
   /// Number of dynamic executions of the armed site (Inject mode).
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
 
  private:
+  /// A site as visit() sees it, its file name kept by pointer so that
+  /// recording an operation builds no string.
+  struct ReachedSite {
+    FunctionId fn;
+    const char* file;
+    std::uint32_t line;
+    std::uint32_t column;
+
+    friend bool operator==(const ReachedSite&, const ReachedSite&) = default;
+  };
+  struct ReachedSiteHash {
+    std::size_t operator()(const ReachedSite& s) const noexcept {
+      constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+      std::uint64_t h = std::hash<const char*>{}(s.file);
+      h = (h ^ (std::uint64_t{s.line} << 32 | s.column)) * kMul;
+      h = (h ^ s.fn) * kMul;
+      return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+  };
+
   explicit InjectionHook(Mode m) : mode_(m) {}
 
   Mode mode_;
-  std::set<InjectionSite> sites_;
+  std::unordered_set<ReachedSite, ReachedSiteHash> reached_;
   InjectionSite target_;
   InjectOp op_ = InjectOp::Add;
   double eps_ = 0.0;

@@ -3,8 +3,13 @@
 // contraction, lane reassociation, extended precision, unsafe rewrites,
 // FTZ, fast libm) changing results in the expected, bounded way.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,7 +181,7 @@ TEST_P(ReassocWidthTest, MatchesExplicitLaneModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ReassocWidthTest,
-                         ::testing::Values(1, 2, 3, 4, 8));
+                         ::testing::Values(1, 2, 3, 4, 8, 16, 17));
 
 TEST(EnvReductions, ExtendedPrecisionSumDiffersAndIsMoreAccurate) {
   FpSemantics sem;
@@ -295,6 +300,172 @@ TEST(EnvCost, FastLibmIsCheaper) {
   (void)strict_ctx.fn(test_fn()).exp(1.0);
   (void)fast_ctx.fn(test_fn()).exp(1.0);
   EXPECT_LT(fast_ctx.counter().cycles(), strict_ctx.counter().cycles());
+}
+
+// ---- the fast path and the checked path agree ------------------------
+//
+// An env with no hook and no FTZ evaluates its scalar operations on an
+// inline fast path with no probe and no flush; the same env under a
+// pass-through recorder takes the checked path.  Every public operation
+// must give the same result bits, per-class counts and cycles on both.
+
+/// Signed zeros, subnormals, infinities, NaN and ordinary values across
+/// the exponent range.
+std::vector<double> edge_operands() {
+  using L = std::numeric_limits<double>;
+  return {0.0,       -0.0,    L::denorm_min(), -1e-310, 1e-310,
+          L::min(),  -L::min(), L::infinity(), -L::infinity(),
+          L::quiet_NaN(), 1.0, -1.0, 0.1, -2.5, 3.0, 7.0, 1e16, -1e-300,
+          1e300,     0.7};
+}
+
+/// `n` finite values of mixed sign and magnitude, seeded.
+std::vector<double> finite_operands(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const double unit = static_cast<double>(rng() >> 11) * 0x1p-53 - 0.5;
+    x = std::ldexp(unit, static_cast<int>(rng() % 41) - 20);
+  }
+  return v;
+}
+
+/// Calls every public FpEnv operation of `ctx`'s test function over edge
+/// and finite operands; returns the bits of every result in call order.
+/// NaNs are recorded as one value: IEEE 754 leaves open which operand's
+/// NaN an operation returns, and the host compiler may commute `x + y`
+/// differently in two inlined copies of the same expression.
+std::vector<std::uint64_t> every_op_bits(EvalContext& ctx) {
+  FpEnv env = ctx.fn(test_fn());
+  std::vector<std::uint64_t> bits;
+  const auto put = [&](double r) {
+    bits.push_back(std::isnan(r) ? ~std::uint64_t{0}
+                                 : std::bit_cast<std::uint64_t>(r));
+  };
+  const std::vector<double> edges = edge_operands();
+  for (double a : edges) {
+    put(env.sqrt(a));
+    put(env.exp(a));
+    put(env.log(a));
+    put(env.sin(a));
+    put(env.cos(a));
+    for (double b : edges) {
+      put(env.add(a, b));
+      put(env.sub(a, b));
+      put(env.mul(a, b));
+      put(env.div(a, b));
+      put(env.pow(a, b));
+      for (double c : {0.0, -0.0, 1e-310, -1.0, edges[7]}) {
+        put(env.mul_add(a, b, c));
+      }
+    }
+  }
+  // Lengths below, at and above the widest stack-held lane count.
+  std::vector<std::vector<double>> vecs = {{}, edges};
+  for (std::size_t n : {5u, 16u, 17u, 57u}) {
+    vecs.push_back(finite_operands(n, 1000 + n));
+  }
+  for (const std::vector<double>& v : vecs) {
+    const std::vector<double> r(v.rbegin(), v.rend());
+    put(env.sum(v));
+    put(env.dot(v, r));
+    put(env.norm2(v));
+    std::vector<double> y = r;
+    env.axpy(0.3, v, y);
+    env.scal(-1.7, y);
+    for (double x : y) put(x);
+  }
+  return bits;
+}
+
+struct PathCase {
+  FpSemantics sem;
+  CostFactors cost;
+};
+
+std::string describe(const PathCase& c) {
+  const FpSemantics& s = c.sem;
+  return "fma=" + std::to_string(s.contract_fma) +
+         " w=" + std::to_string(s.reassoc_width) +
+         " ext=" + std::to_string(s.extended_precision) +
+         " unsafe=" + std::to_string(s.unsafe_math) +
+         " ftz=" + std::to_string(s.flush_subnormals) +
+         " fastlibm=" + std::to_string(s.fast_libm) +
+         " ub=" + std::to_string(s.exploits_ub) +
+         " time=" + std::to_string(c.cost.time_scale) +
+         " bulk=" + std::to_string(c.cost.bulk_scale);
+}
+
+/// Each flag alone, all of them together, and seeded combinations, under
+/// non-dyadic cost factors so any reordered tally would show in cycles.
+std::vector<PathCase> path_cases() {
+  const CostFactors costs[] = {
+      {1.0, 1.0}, {2.9, 1.0}, {0.96, 1.3}, {1.0 / 3.0, 1.15}, {3.1, 0.7}};
+  const int widths[] = {1, 2, 3, 4, 8, 16, 17};
+  std::vector<FpSemantics> sems(1);
+  const auto with = [&](auto set) {
+    FpSemantics s;
+    set(s);
+    sems.push_back(s);
+  };
+  with([](FpSemantics& s) { s.contract_fma = true; });
+  for (int w : widths) with([w](FpSemantics& s) { s.reassoc_width = w; });
+  with([](FpSemantics& s) { s.extended_precision = true; });
+  with([](FpSemantics& s) { s.unsafe_math = true; });
+  with([](FpSemantics& s) { s.flush_subnormals = true; });
+  with([](FpSemantics& s) { s.fast_libm = true; });
+  with([](FpSemantics& s) { s.exploits_ub = true; });
+  with([](FpSemantics& s) {
+    s = {true, 4, true, true, true, true, true};
+  });
+  std::mt19937_64 rng(20190622);
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t r = rng();
+    with([&](FpSemantics& s) {
+      s.contract_fma = (r & 1) != 0;
+      s.extended_precision = (r & 2) != 0;
+      s.unsafe_math = (r & 4) != 0;
+      s.flush_subnormals = (r & 8) != 0;
+      s.fast_libm = (r & 16) != 0;
+      s.exploits_ub = (r & 32) != 0;
+      s.reassoc_width = widths[(r >> 8) % std::size(widths)];
+    });
+  }
+  std::vector<PathCase> cases;
+  for (std::size_t i = 0; i < sems.size(); ++i) {
+    cases.push_back({sems[i], costs[i % std::size(costs)]});
+  }
+  return cases;
+}
+
+TEST(EnvPaths, FastPathMatchesCheckedPathBitForBit) {
+  for (const PathCase& c : path_cases()) {
+    SCOPED_TRACE(describe(c));
+    EvalContext fast = make_ctx(c.sem, c.cost);
+    EvalContext checked = make_ctx(c.sem, c.cost);
+    auto recorder = InjectionHook::recorder();
+    checked.set_injection_hook(&recorder);
+
+    const std::vector<std::uint64_t> want = every_op_bits(checked);
+    const std::vector<std::uint64_t> got = every_op_bits(fast);
+    ASSERT_EQ(got.size(), want.size());
+    std::size_t differing = 0, first = got.size();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (got[i] == want[i]) continue;
+      ++differing;
+      if (first == got.size()) first = i;
+    }
+    EXPECT_EQ(differing, 0u) << "first differing result: #" << first;
+    for (std::size_t k = 0; k < static_cast<std::size_t>(OpClass::kCount);
+         ++k) {
+      const auto cls = static_cast<OpClass>(k);
+      EXPECT_EQ(fast.counter().count(cls), checked.counter().count(cls))
+          << "op class " << k;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.counter().cycles()),
+              std::bit_cast<std::uint64_t>(checked.counter().cycles()));
+    EXPECT_FALSE(recorder.sites().empty());  // the checked run did probe
+  }
 }
 
 TEST(EnvSemantics, StrictPredicate) {
