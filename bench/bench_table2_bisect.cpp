@@ -5,14 +5,23 @@
 //
 // Set FLIT_BENCH_MAX_BISECTS to cap the number of (example, compilation)
 // searches per compiler for a faster smoke run.
+//
+// The searches run on a 4-lane ThreadPool over one shared CompilationCache
+// and ProbeMemo.  Executions are logical (memo hits still count), and the
+// tallies are sums, so the table is byte-identical to a serial, memo-less
+// run.
 
 #include <cstdio>
 #include <climits>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/hierarchy.h"
+#include "core/parallel.h"
+#include "core/probe_memo.h"
 #include "mfem_study_common.h"
 
 using namespace flit;
@@ -37,42 +46,66 @@ int main() {
   }
   std::map<std::string, long> used;
 
-  const auto scope = mfemini::mfem_source_files();
+  // Every (example, variable compilation) search, in study order.
+  struct Search {
+    const mfemini::MfemExampleTest* test;
+    const core::CompilationOutcome* outcome;
+  };
+  std::vector<std::unique_ptr<mfemini::MfemExampleTest>> tests;
+  std::vector<Search> searches;
   for (int ex = 1; ex <= mfemini::kNumExamples; ++ex) {
-    const core::StudyResult& r = study.results[static_cast<std::size_t>(ex - 1)];
-    mfemini::MfemExampleTest test(ex);
+    tests.push_back(std::make_unique<mfemini::MfemExampleTest>(ex));
+    const core::StudyResult& r = study.results[tests.size() - 1];
     for (const core::CompilationOutcome& o : r.outcomes) {
       if (o.bitwise_equal()) continue;
       if (used[o.comp.compiler.name]++ >= cap) continue;
+      searches.push_back({tests.back().get(), &o});
+    }
+  }
 
-      core::BisectConfig cfg;
-      cfg.baseline = toolchain::mfem_baseline();
-      cfg.variable = o.comp;
-      cfg.scope = scope;
-      core::BisectDriver driver(&fpsem::global_code_model(), &test, cfg);
-      const core::HierarchicalOutcome out = driver.run();
+  const auto scope = mfemini::mfem_source_files();
+  toolchain::CompilationCache cache;
+  core::ProbeMemo memo;
+  std::vector<core::HierarchicalOutcome> outs(searches.size());
+  core::ThreadPool pool(4);
+  pool.parallel_for(searches.size(), [&](std::size_t i) {
+    core::BisectConfig cfg;
+    cfg.baseline = toolchain::mfem_baseline();
+    cfg.variable = searches[i].outcome->comp;
+    cfg.scope = scope;
+    cfg.memo = &memo;
+    core::BisectDriver driver(&fpsem::global_code_model(), searches[i].test,
+                              cfg, &cache);
+    outs[i] = driver.run();
+  });
+  const core::ProbeMemo::Stats ms = memo.stats();
+  std::fprintf(stderr,
+               "  [table2] %zu searches bisected: %llu real runs, %llu "
+               "memo hits\n",
+               searches.size(), static_cast<unsigned long long>(ms.entries),
+               static_cast<unsigned long long>(ms.hits));
 
-      PerCompiler& s = stats[o.comp.compiler.name];
-      ++s.searches;
-      s.executions += out.executions;
-      ++s.file_attempts;
-      if (out.crashed) continue;  // File Bisect failure
-      ++s.file_successes;
-      if (out.nothing_found()) {
-        ++s.nothing_found;
-        continue;
-      }
-      for (const core::FileFinding& ff : out.findings) {
-        using Status = core::FileFinding::SymbolStatus;
-        if (ff.status == Status::NotSearched) continue;
-        ++s.symbol_attempts;
-        if (ff.status == Status::Found ||
-            ff.status == Status::VanishedUnderFpic) {
-          ++s.symbol_successes;  // only a crash counts as failure (paper)
-        }
+  for (std::size_t i = 0; i < searches.size(); ++i) {
+    const core::HierarchicalOutcome& out = outs[i];
+    PerCompiler& s = stats[searches[i].outcome->comp.compiler.name];
+    ++s.searches;
+    s.executions += out.executions;
+    ++s.file_attempts;
+    if (out.crashed) continue;  // File Bisect failure
+    ++s.file_successes;
+    if (out.nothing_found()) {
+      ++s.nothing_found;
+      continue;
+    }
+    for (const core::FileFinding& ff : out.findings) {
+      using Status = core::FileFinding::SymbolStatus;
+      if (ff.status == Status::NotSearched) continue;
+      ++s.symbol_attempts;
+      if (ff.status == Status::Found ||
+          ff.status == Status::VanishedUnderFpic) {
+        ++s.symbol_successes;  // only a crash counts as failure (paper)
       }
     }
-    std::fprintf(stderr, "  [table2] example %d bisected\n", ex);
   }
 
   std::printf("Table 2: compiler characterization of Bisect with MFEM\n");

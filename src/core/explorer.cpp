@@ -103,11 +103,13 @@ SpaceExplorer::SpaceExplorer(const fpsem::CodeModel* model,
                              toolchain::Compilation baseline,
                              toolchain::Compilation speed_reference,
                              unsigned jobs,
-                             toolchain::CompilationCache* cache)
+                             toolchain::CompilationCache* cache,
+                             ProbeMemo* memo)
     : model_(model),
       baseline_(std::move(baseline)),
       speed_reference_(std::move(speed_reference)),
       cache_(cache != nullptr ? cache : &own_cache_),
+      memo_(memo != nullptr ? memo : &own_memo_),
       build_(model, cache_),
       linker_(model),
       runner_(model) {
@@ -115,6 +117,32 @@ SpaceExplorer::SpaceExplorer(const fpsem::CodeModel* model,
 }
 
 RunOutput SpaceExplorer::run_whole_program(
+    const TestBase& test, const toolchain::Compilation& c) const {
+  // An armed injector must see every item roll its compile, link and run
+  // decisions, so faulted studies bypass the memo (as bisect probes do).
+  if (FaultInjector::global().any_armed()) return build_link_run(test, c);
+
+  ProbeMemo::Answer answer =
+      memo_->probe(ProbeMemo::key_of_build(test.name(), c), [&] {
+        try {
+          return ProbeMemo::Entry{false, {}, build_link_run(test, c)};
+        } catch (const ExecutionCrash& e) {
+          return ProbeMemo::Entry{true, e.what(), {}};
+        }
+      });
+  if (obs::Tracer* tr = obs::tracer_if_enabled(); answer.hit && tr != nullptr) {
+    // Spans stay logical: a hit emits the miss's events (same names, ticks
+    // and cost), so which item of a key ran first never shows in a trace.
+    { obs::Span span(tr, "build", "explore", c.str()); }
+    { obs::Span span(tr, "link", "explore", c.str()); }
+    obs::Span span(tr, "run", "explore", c.str());
+    if (!answer.entry.crashed) span.set_cost(answer.entry.output.cycles);
+  }
+  if (answer.entry.crashed) throw ExecutionCrash(answer.entry.crash_reason);
+  return std::move(answer.entry.output);
+}
+
+RunOutput SpaceExplorer::build_link_run(
     const TestBase& test, const toolchain::Compilation& c) const {
   // The per-compilation phase breakdown: build/link/run spans stamped with
   // the calling thread's (shard, index, attempt) context.  Inert (a null

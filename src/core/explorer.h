@@ -13,6 +13,16 @@
 // are memoized in a shared CompilationCache: most of the 244 triples
 // collapse onto a handful of distinct per-file semantics.
 //
+// Whole-program runs are memoized too, in a single-flight ProbeMemo keyed
+// before compile (ProbeMemo::key_of_build: test, semantics group, link-step
+// libm): the 244 compilations of a test link only 78 distinct
+// executables, and each is compiled, linked and run once per memo -- real
+// runs equal distinct keys at any jobs count.  A hit still emits the
+// item's build/link/run spans, with the stored cycles on its run span, so
+// traces and every result byte are the same as without the memo.  While
+// the fault injector is armed the memo is bypassed and every item rolls
+// its own compile, link and run decisions.
+//
 // Failures are contained, not fatal: a compilation that crashes or fails
 // to build is recorded in its outcome slot (status + reason) and the
 // study completes -- the paper's evaluation depends on recording failed
@@ -28,6 +38,7 @@
 #include <vector>
 
 #include "core/faults.h"
+#include "core/probe_memo.h"
 #include "core/runner.h"
 #include "core/test_base.h"
 #include "toolchain/build.h"
@@ -178,11 +189,15 @@ class SpaceExplorer {
   /// number of parallel execution lanes explore() uses (1 = serial);
   /// `cache`, when non-null, replaces the explorer's internal compilation
   /// cache (e.g. to share one cache across an explorer and Bisect drivers)
-  /// and must outlive the explorer.
+  /// and must outlive the explorer.  `memo`, when non-null, likewise
+  /// replaces the internal execution memo (e.g. one memo for every
+  /// request of the study service); it must serve only explorers and
+  /// drivers of `model`, and must outlive the explorer.
   SpaceExplorer(const fpsem::CodeModel* model,
                 toolchain::Compilation baseline,
                 toolchain::Compilation speed_reference, unsigned jobs = 1,
-                toolchain::CompilationCache* cache = nullptr);
+                toolchain::CompilationCache* cache = nullptr,
+                ProbeMemo* memo = nullptr);
 
   /// Runs `test` under every compilation in `space` on `jobs()` lanes.
   /// Whole-program builds: all files under the compilation, linked by its
@@ -204,7 +219,9 @@ class SpaceExplorer {
     return explore(test, space, ExploreOptions{});
   }
 
-  /// Runs one whole-program compilation of `test`.
+  /// Runs one whole-program compilation of `test`, through the execution
+  /// memo unless the fault injector is armed.  Throws ExecutionCrash when
+  /// the executable crashes (on a hit too).
   [[nodiscard]] RunOutput run_whole_program(
       const TestBase& test, const toolchain::Compilation& c) const;
 
@@ -217,6 +234,12 @@ class SpaceExplorer {
     return *cache_;
   }
 
+  /// The execution memo whole-program runs go through (internal unless
+  /// one was supplied at construction).  Its stats are real runs
+  /// (entries) and memo hits: scheduling-independent counts, yet kept off
+  /// every byte-compared output.
+  [[nodiscard]] const ProbeMemo& memo() const { return *memo_; }
+
  private:
   /// Runs an anchor compilation with the retry budget; throws StudyAbort
   /// when every attempt fails.
@@ -224,6 +247,11 @@ class SpaceExplorer {
                                      const toolchain::Compilation& c,
                                      const RetryPolicy& retry,
                                      const char* role) const;
+
+  /// Compiles, links and runs `c` with its build/link/run spans (the
+  /// memo's miss path, and the whole path while faults are armed).
+  [[nodiscard]] RunOutput build_link_run(
+      const TestBase& test, const toolchain::Compilation& c) const;
 
   const fpsem::CodeModel* model_;
   toolchain::Compilation baseline_;
@@ -244,6 +272,8 @@ class SpaceExplorer {
 
   mutable toolchain::CompilationCache own_cache_;
   toolchain::CompilationCache* cache_;  ///< own_cache_ or the external one
+  mutable ProbeMemo own_memo_;
+  ProbeMemo* memo_;  ///< own_memo_ or the external one
   toolchain::BuildSystem build_;
   toolchain::Linker linker_;
   Runner runner_;

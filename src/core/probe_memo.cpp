@@ -3,9 +3,17 @@
 #include <cstring>
 #include <utility>
 
+#include "toolchain/compile_cache.h"
+#include "toolchain/semantics_rules.h"
+
 namespace flit::core {
 
 namespace {
+
+/// The leading byte of each key kind: a content key and a build key can
+/// never be equal.
+constexpr char kContentKey = 'c';
+constexpr char kBuildKey = 'b';
 
 void append_raw(std::string& s, const void* p, std::size_t n) {
   s.append(static_cast<const char*>(p), n);
@@ -17,7 +25,8 @@ std::string ProbeMemo::key_of(const std::string& test_name,
                               const toolchain::Executable& exe) {
   const std::size_t n = exe.map.size();
   std::string key;
-  key.reserve(test_name.size() + 2 + n * 22 + exe.crash_reason.size());
+  key.reserve(test_name.size() + 3 + n * 22 + exe.crash_reason.size());
+  key += kContentKey;
   key += test_name;
   key += '\0';
   for (fpsem::FunctionId id = 0; id < n; ++id) {
@@ -38,6 +47,19 @@ std::string ProbeMemo::key_of(const std::string& test_name,
   }
   key += exe.crashes ? '\1' : '\0';
   key += exe.crash_reason;
+  return key;
+}
+
+std::string ProbeMemo::key_of_build(const std::string& test_name,
+                                    const toolchain::Compilation& c) {
+  const std::uint64_t group = toolchain::CompilationCache::semantics_group(c);
+  std::string key;
+  key.reserve(test_name.size() + 3 + sizeof group);
+  key += kBuildKey;
+  key += test_name;
+  key += '\0';
+  append_raw(key, &group, sizeof group);
+  key += toolchain::link_step_fast_libm(c.compiler) ? '\1' : '\0';
   return key;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/parallel.h"
+#include "core/probe_memo.h"
 #include "obs/session.h"
 #include "toolchain/compile_cache.h"
 
@@ -20,9 +21,13 @@ WorkflowReport run_workflow(const fpsem::CodeModel* model,
                             const WorkflowOptions& opts) {
   WorkflowReport report;
 
-  // One compilation cache for the whole pipeline: the exploration warms it
-  // and every bisect below compiles through it.
+  // One compilation cache and one execution memo for the whole pipeline:
+  // the exploration warms both, and every bisect below compiles through
+  // the cache and probes the memo (its content keys never equal the
+  // explorer's build keys).  Memo hits skip real runs only; logical
+  // executions and the report bytes do not change.
   toolchain::CompilationCache cache;
+  ProbeMemo memo;
 
   // Levels 1 and 2: explore the compilation space.  An override (e.g. the
   // sharded engine in src/dist) replaces this phase wholesale; its
@@ -35,7 +40,7 @@ WorkflowReport run_workflow(const fpsem::CodeModel* model,
       report.study = opts.explore_override(test, space);
     } else {
       SpaceExplorer explorer(model, opts.baseline, opts.speed_reference,
-                             opts.jobs, &cache);
+                             opts.jobs, &cache, &memo);
       report.study = explorer.explore(test, space, opts.explore);
     }
   }
@@ -94,6 +99,7 @@ WorkflowReport run_workflow(const fpsem::CodeModel* model,
     cfg.variable = o.comp;
     cfg.k = opts.k;
     cfg.digits = opts.digits;
+    cfg.memo = &memo;
     BisectDriver driver(model, &test, cfg, &cache);
     m_bisects.add();
     try {

@@ -59,7 +59,7 @@ struct WorkflowOptions {
   /// When set, replaces the Level 1/2 exploration entirely (jobs and the
   /// `explore` knobs above are then the override's responsibility).  The
   /// bisect phase is unchanged: it consumes the returned StudyResult and
-  /// compiles through its own cache.
+  /// compiles through its own cache and execution memo.
   ExploreFn explore_override;
 };
 

@@ -202,7 +202,7 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
     e.subspace = request_subspace(req, space_);
     e.outcomes.resize(e.subspace.size());
     e.explorer = std::make_unique<core::SpaceExplorer>(
-        model_, baseline_, speed_reference_, opts_.jobs, &cache_);
+        model_, baseline_, speed_reference_, opts_.jobs, &cache_, &memo_);
     if (!opts_.state_dir.empty()) {
       e.db_path = opts_.state_dir / (req.id + ".tsv");
       if (!opts_.resume) {
@@ -450,6 +450,7 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
 
   report.cache = cache_.stats();
   report.cache_resident_bytes = cache_.resident_bytes();
+  report.memo = memo_.stats();
   report.fleet_cycles = lanes.max_clock();
   return report;
 }

@@ -34,6 +34,16 @@
 // equality -- so cache contents (shared, evicted, or cold) affect
 // cycles, never bytes.
 //
+// Every request's explorer also runs through one shared execution memo
+// (core::ProbeMemo, build keys): a (test, executable) any earlier request
+// ran -- a filtered or `limit` request over a full-space one, a
+// workflow over its own study -- is answered from memory without
+// compiling, linking or running.  Memo answers are exact (probe_memo.h),
+// so they too move wall time and cache tallies, never bytes.  The memo
+// needs no budget: it holds at most (registered tests x distinct build
+// keys of the canonical space) entries -- 19 x 78 of about 1 KB each for
+// the MFEM stream.
+//
 // Incremental results: every executed claim emits a StudyEvent JSON line
 // on the owning tenant's stream (plus an admission and a completion
 // event), so a tenant watches its study converge instead of waiting for
@@ -49,6 +59,7 @@
 #include <vector>
 
 #include "core/explorer.h"
+#include "core/probe_memo.h"
 #include "fpsem/code_model.h"
 #include "toolchain/compile_cache.h"
 #include "toolchain/compiler.h"
@@ -125,7 +136,8 @@ struct RequestReport {
 
   /// Shared-cache activity attributed to this request: the snapshot
   /// delta around its claims (the scheduler is serial, so deltas are
-  /// exact and sum to the aggregate).
+  /// exact and sum to the aggregate).  Only items whose executable no
+  /// earlier item ran reach the cache: memo hits skip compile.
   toolchain::CacheStats cache;
 
   core::StudyResult study;    ///< merged, space-ordered outcomes
@@ -138,6 +150,9 @@ struct ServeReport {
   std::vector<RequestReport> requests;  ///< admission order
   toolchain::CacheStats cache;          ///< aggregate shared-cache stats
   std::uint64_t cache_resident_bytes = 0;
+  /// The shared execution memo after the run: entries are real runs,
+  /// hits the runs it saved (cumulative over the service's lifetime).
+  core::ProbeMemo::Stats memo;
   double fleet_cycles = 0.0;  ///< max lane clock (modeled)
   std::size_t deduplicated = 0;
 };
@@ -175,6 +190,7 @@ class StudyService {
   std::vector<toolchain::Compilation> space_;
   ServeOptions opts_;
   toolchain::CompilationCache cache_;
+  core::ProbeMemo memo_;  ///< every request's explorer runs through it
 };
 
 }  // namespace flit::serve

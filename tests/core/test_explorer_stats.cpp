@@ -1,13 +1,18 @@
 // StudyResult statistics (median parity for even/odd sample sizes) and the
-// SpaceExplorer anchor-run dedupe: baseline and speed-reference runs are
-// executed once each -- or once total when they coincide -- and reused for
-// space entries equal to them.
+// SpaceExplorer run dedupe: baseline and speed-reference runs are executed
+// once each -- or once total when they coincide -- and reused for space
+// entries equal to them, and the execution memo runs each distinct build
+// key once.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <string>
 
 #include "core/explorer.h"
+#include "core/faults.h"
+#include "core/probe_memo.h"
 #include "fpsem/env.h"
 #include "toolchain/compiler.h"
 
@@ -110,6 +115,61 @@ TEST(ExploreDedupe, IdenticalBaselineAndReferenceRunOnce) {
   // The baseline entry is bitwise-equal with speedup 1 by construction.
   EXPECT_TRUE(r.outcomes[0].bitwise_equal());
   EXPECT_DOUBLE_EQ(r.outcomes[0].speedup, 1.0);
+}
+
+TEST(ExploreDedupe, EachDistinctBuildKeyRunsOnceAtAnyJobsCount) {
+  const toolchain::Compilation base = toolchain::mfem_baseline();
+  const toolchain::Compilation ref = toolchain::mfem_speed_reference();
+  const std::vector<toolchain::Compilation> space = {
+      // One semantics group and link driver: one executable.
+      {toolchain::gcc(), toolchain::OptLevel::O3, ""},
+      {toolchain::gcc(), toolchain::OptLevel::O3, "-fassociative-math"},
+      {toolchain::clang(), toolchain::OptLevel::O2, ""},
+      {toolchain::clang(), toolchain::OptLevel::O2, "-ffp-contract=on"},
+      // The baseline's executable: answered by the anchor's run.
+      {toolchain::gcc(), toolchain::OptLevel::O0, "-mavx"},
+      // The baseline's semantics group under the Intel link driver, whose
+      // link step swaps in the fast libm: another executable.
+      {toolchain::icpc(), toolchain::OptLevel::O0, ""},
+  };
+  CountingTest probe;
+  std::set<std::string> keys = {
+      core::ProbeMemo::key_of_build(probe.name(), base),
+      core::ProbeMemo::key_of_build(probe.name(), ref)};
+  for (const toolchain::Compilation& c : space) {
+    keys.insert(core::ProbeMemo::key_of_build(probe.name(), c));
+  }
+  ASSERT_EQ(keys.size(), 5u);
+
+  std::vector<core::StudyResult> studies;
+  for (const unsigned jobs : {1u, 4u}) {
+    CountingTest t;
+    core::SpaceExplorer explorer(&fpsem::global_code_model(), base, ref,
+                                 jobs);
+    studies.push_back(explorer.explore(t, space));
+    EXPECT_EQ(t.runs.load(), static_cast<int>(keys.size())) << jobs;
+    EXPECT_EQ(explorer.memo().stats().entries, keys.size()) << jobs;
+  }
+
+  // Armed faults (at rate 0, so none fires) bypass the memo: both anchors
+  // and every item run, and the outcomes are the memoized ones.
+  core::FaultInjector::global().arm(core::FaultSite::Run, 0.0);
+  CountingTest t;
+  core::SpaceExplorer explorer(&fpsem::global_code_model(), base, ref, 4);
+  studies.push_back(explorer.explore(t, space));
+  core::FaultInjector::global().disarm();
+  EXPECT_EQ(t.runs.load(), static_cast<int>(2 + space.size()));
+  EXPECT_EQ(explorer.memo().stats().probes, 0u);
+
+  for (const core::StudyResult& s : studies) {
+    ASSERT_EQ(s.outcomes.size(), space.size());
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      EXPECT_EQ(s.outcomes[i].variability,
+                studies[0].outcomes[i].variability);
+      EXPECT_EQ(s.outcomes[i].cycles, studies[0].outcomes[i].cycles);
+      EXPECT_EQ(s.outcomes[i].speedup, studies[0].outcomes[i].speedup);
+    }
+  }
 }
 
 TEST(ExploreDedupe, DedupeIsInvisibleInTheOutcomes) {

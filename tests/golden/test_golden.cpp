@@ -6,6 +6,8 @@
 //     one lane: variable runs per compiler, plus an FNV-1a digest over
 //     every outcome's compilation, exact variability (%La) and exact
 //     modeled cycles (%a), so no result bit or cycle can drift unseen.
+//   * Table 2 lives in test_golden_table2.cpp: its answers depend on the
+//     link set, and this binary also links LULESH.
 //   * Table 5 -- the LULESH injection campaign's verdict counts and its
 //     precision / recall.
 

@@ -19,6 +19,7 @@
 #include "../obs/json_check.h"
 #include "core/explorer.h"
 #include "core/faults.h"
+#include "core/probe_memo.h"
 #include "core/report.h"
 #include "core/resultsdb.h"
 #include "core/workflow.h"
@@ -153,6 +154,87 @@ TEST_F(ObsStudyTest, TracedEventContentIsIdenticalAcrossJobsCounts) {
       EXPECT_EQ(events, *reference) << jobs << " jobs";
     }
   }
+}
+
+TEST_F(ObsStudyTest,
+       TracedEventContentIsIdenticalAcrossJobsCountsOverTheStudySpace) {
+  // The full space repeats most executables, so the execution memo
+  // answers most items, and which item of a key runs first depends on the
+  // schedule: the trace must show neither.  The reference is a memo-less
+  // trace -- an armed injector (rate 0, so nothing fires) bypasses the
+  // memo and every item really compiles, links and runs.
+  const auto space = toolchain::mfem_study_space();
+  mfemini::MfemExampleTest test(7);
+  const auto trace = [&](unsigned jobs) {
+    obs::tracer().set_enabled(true);
+    {
+      obs::ScopedItem root(0, obs::kNoIndex, 0);
+      (void)run_study(test, space, 1, jobs);
+    }
+    auto events = obs::tracer().drain_sorted();
+    obs::tracer().set_enabled(false);
+    return events;
+  };
+
+  FaultInjector::global().arm(FaultSite::Run, 0.0);
+  const std::vector<obs::TraceEvent> reference = trace(1);
+  FaultInjector::global().disarm();
+  ASSERT_FALSE(reference.empty());
+  for (unsigned jobs : {1u, 2u, 4u}) {
+    EXPECT_EQ(trace(jobs), reference) << jobs << " jobs";
+  }
+}
+
+TEST_F(ObsStudyTest, MemoHitsEmitTheSpansOfTheirMiss) {
+  const auto space = toolchain::mfem_study_space();
+  mfemini::MfemExampleTest test(7);
+
+  obs::tracer().set_enabled(true);
+  core::SpaceExplorer explorer(&fpsem::global_code_model(),
+                               toolchain::mfem_baseline(),
+                               toolchain::mfem_speed_reference(), 1);
+  {
+    obs::ScopedItem root(0, obs::kNoIndex, 0);
+    (void)explorer.explore(test, space);
+  }
+  const auto events = obs::tracer().drain_sorted();
+  obs::tracer().set_enabled(false);
+  ASSERT_GT(explorer.memo().stats().hits, 0u);
+
+  // Each item's build/link/run events without its identity: what a hit
+  // must reproduce from its key's miss.
+  struct Phase {
+    std::string name;
+    std::uint32_t begin_tick = 0;
+    std::uint32_t end_tick = 0;
+    double cost = 0.0;
+    bool operator==(const Phase&) const = default;
+  };
+  std::map<std::uint64_t, std::vector<Phase>> phases;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "build" || e.name == "link" || e.name == "run") {
+      phases[e.index].push_back({e.name, e.begin_tick, e.end_tick, e.cost});
+    }
+  }
+
+  std::map<std::string, std::size_t> first_of_key;
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    // Items equal to an anchor reuse its run and open no build span.
+    if (space[i] == toolchain::mfem_baseline() ||
+        space[i] == toolchain::mfem_speed_reference()) {
+      continue;
+    }
+    ASSERT_EQ(phases[i].size(), 3u) << space[i].str();
+    EXPECT_GT(phases[i][2].cost, 0.0) << space[i].str();
+    const auto [it, first] = first_of_key.emplace(
+        core::ProbeMemo::key_of_build(test.name(), space[i]), i);
+    if (first) continue;
+    EXPECT_EQ(phases[i], phases[it->second])
+        << space[i].str() << " vs " << space[it->second].str();
+    ++compared;
+  }
+  EXPECT_GT(compared, space.size() / 2);
 }
 
 TEST_F(ObsStudyTest, FaultedStudiesAreIdenticalWithTracingOnAndOff) {

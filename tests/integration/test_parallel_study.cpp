@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/explorer.h"
+#include "core/probe_memo.h"
 #include "core/workflow.h"
 #include "mfemini/examples.h"
 #include "toolchain/compile_cache.h"
@@ -91,11 +95,19 @@ TEST(ParallelStudy, FullSpaceCacheHitRateExceedsHalf) {
   const auto space = toolchain::mfem_study_space();
   const auto r = explorer.explore(test, space);
   EXPECT_EQ(r.outcomes.size(), space.size());
-  // The acceptance bar for the Table 1 study: > 50% of per-file compiles
-  // served from the cache.
-  EXPECT_GT(explorer.cache().stats().hit_rate(), 0.5)
-      << "hits=" << explorer.cache().stats().hits
-      << " misses=" << explorer.cache().stats().misses;
+  // The acceptance bar for the Table 1 study: more than half of the
+  // space's per-file compiles are never compiled.  The execution memo
+  // answers repeated executables before compile, so the cache sees one
+  // compile_all per distinct build key (the anchors are in the space).
+  const std::size_t files = fpsem::global_code_model().files().size();
+  const toolchain::CacheStats stats = explorer.cache().stats();
+  EXPECT_LT(stats.misses * 2, space.size() * files)
+      << "hits=" << stats.hits << " misses=" << stats.misses;
+  std::set<std::string> keys;
+  for (const Compilation& c : space) {
+    keys.insert(core::ProbeMemo::key_of_build(test.name(), c));
+  }
+  EXPECT_EQ(stats.hits + stats.misses, keys.size() * files);
 }
 
 void expect_identical_workflows(const core::WorkflowReport& a,

@@ -36,6 +36,7 @@
 #include "core/hierarchy.h"
 #include "core/mixer.h"
 #include "core/parallel.h"
+#include "core/probe_memo.h"
 #include "core/registry.h"
 #include "core/report.h"
 #include "core/resultsdb.h"
@@ -547,6 +548,12 @@ int cmd_explore(const std::string& test_name, const ExploreArgs& args) {
       opts.resume = args.resume;
     }
     study = explorer.explore(*test, space, opts);
+    // Scheduling-independent, but kept off stdout like every memo count:
+    // piped CSVs and summaries stay byte-identical to a memo-less run.
+    const core::ProbeMemo::Stats ms = explorer.memo().stats();
+    std::fprintf(stderr, "execution memo: %llu real runs, %llu memo hits\n",
+                 static_cast<unsigned long long>(ms.entries),
+                 static_cast<unsigned long long>(ms.hits));
   }
 
   if (db.has_value()) {
@@ -818,12 +825,15 @@ int cmd_serve(const std::string& requests_path, ServeArgs& args) {
   std::fprintf(stderr,
                "served %zu requests (%zu deduplicated): cache hits=%llu "
                "misses=%llu hit-rate=%.3f evictions=%llu resident=%llu "
-               "bytes; fleet cycles %.0f\n",
+               "bytes; execution memo real-runs=%llu hits=%llu; fleet "
+               "cycles %.0f\n",
                report.requests.size(), report.deduplicated,
                static_cast<unsigned long long>(c.hits),
                static_cast<unsigned long long>(c.misses), c.hit_rate(),
                static_cast<unsigned long long>(c.evictions),
                static_cast<unsigned long long>(report.cache_resident_bytes),
+               static_cast<unsigned long long>(report.memo.entries),
+               static_cast<unsigned long long>(report.memo.hits),
                report.fleet_cycles);
   return 0;
 }
