@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 namespace flit::core {
 
@@ -25,40 +26,40 @@ std::string sanitized(std::string s) {
   return s;
 }
 
-/// Parses one data row.  Returns false on a malformed (e.g. truncated)
-/// line instead of throwing; the caller decides whether that is fatal.
+/// Parses one data row.  Returns false on a row that cannot round-trip
+/// (e.g. truncated, or wider than its header) instead of throwing; the
+/// caller decides whether that is fatal.
 bool parse_row(const std::string& line, bool v1, ResultRow* row) {
-  std::istringstream ls(line);
-  std::string speedup, variability, status;
-  if (!std::getline(ls, row->test_name, '\t') ||
-      !std::getline(ls, row->compilation, '\t') ||
-      !std::getline(ls, speedup, '\t')) {
-    return false;
+  std::vector<std::string> f;
+  for (std::size_t start = 0;;) {
+    const std::size_t tab = line.find('\t', start);
+    f.push_back(line.substr(start, tab - start));
+    if (tab == std::string::npos) break;
+    start = tab + 1;
   }
-  if (v1) {
-    if (!std::getline(ls, variability, '\t')) return false;
-    row->status = OutcomeStatus::Ok;
-    row->reason.clear();
-  } else {
-    if (!std::getline(ls, variability, '\t') ||
-        !std::getline(ls, status, '\t')) {
-      return false;
-    }
-    const auto parsed = outcome_status_from(status);
+  // v1 rows have exactly four fields; v2 rows five or six (the reason is
+  // the final field and may be absent).  A surplus field is a TAB inside
+  // `reason` or a lost newline that joined two rows -- neither survives a
+  // save, which writes TABs in a reason as spaces.
+  if (f.size() < (v1 ? 4u : 5u) || f.size() > (v1 ? 4u : 6u)) return false;
+  row->test_name = f[0];
+  row->compilation = f[1];
+  row->status = OutcomeStatus::Ok;
+  row->reason.clear();
+  if (!v1) {
+    const auto parsed = outcome_status_from(f[4]);
     if (!parsed.has_value()) return false;
     row->status = *parsed;
-    // The reason is the final field and may be empty (getline fails on an
-    // exhausted stream without consuming anything).
-    if (!std::getline(ls, row->reason)) row->reason.clear();
+    if (f.size() == 6) row->reason = f[5];
   }
   // Numeric fields must be consumed in full: `end == c_str()` alone let a
   // corrupted "1.5junk" speedup load silently as 1.5.
   char* end = nullptr;
-  row->speedup = std::strtod(speedup.c_str(), &end);
-  if (end == speedup.c_str() || *end != '\0') return false;
+  row->speedup = std::strtod(f[2].c_str(), &end);
+  if (end == f[2].c_str() || *end != '\0') return false;
   end = nullptr;
-  row->variability = strtold(variability.c_str(), &end);
-  if (end == variability.c_str() || *end != '\0') return false;
+  row->variability = strtold(f[3].c_str(), &end);
+  if (end == f[3].c_str() || *end != '\0') return false;
   return true;
 }
 
@@ -82,27 +83,40 @@ void ResultsDb::load() {
                              path_.string());
   }
 
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(std::move(line));
+  // Non-empty data lines with their 1-based line numbers in the file.
+  std::vector<std::pair<std::size_t, std::string>> lines;
+  for (std::size_t n = 2; std::getline(in, line); ++n) {
+    if (!line.empty()) lines.emplace_back(n, std::move(line));
   }
+  // Line of each (test, compilation) key's row: a key appears once, or
+  // find(), record() and merge_rows() would disagree about its value.
+  std::unordered_map<std::string, std::size_t> key_line;
   for (std::size_t i = 0; i < lines.size(); ++i) {
+    const auto& [n, text] = lines[i];
     ResultRow row;
-    if (parse_row(lines[i], v1, &row)) {
-      rows_.push_back(std::move(row));
-      continue;
+    if (!parse_row(text, v1, &row)) {
+      if (i + 1 == lines.size()) {
+        // A malformed trailing row is what a crash mid-append leaves
+        // behind; drop it so the database stays usable -- the row's study
+        // will simply re-run it on resume.
+        std::fprintf(stderr,
+                     "ResultsDb: dropping malformed trailing row at line "
+                     "%zu of %s\n",
+                     n, path_.string().c_str());
+        return;
+      }
+      throw std::runtime_error("ResultsDb: malformed row at line " +
+                               std::to_string(n) + " of " + path_.string());
     }
-    if (i + 1 == lines.size()) {
-      // A truncated trailing row is what a crash mid-append leaves
-      // behind; drop it so the database stays usable -- the row's study
-      // will simply re-run it on resume.
-      std::fprintf(stderr,
-                   "ResultsDb: dropping truncated trailing row in %s\n",
-                   path_.string().c_str());
-      return;
+    const auto [it, first] =
+        key_line.try_emplace(row.test_name + '\t' + row.compilation, n);
+    if (!first) {
+      throw std::runtime_error(
+          "ResultsDb: duplicate row for (" + row.test_name + ", " +
+          row.compilation + ") at lines " + std::to_string(it->second) +
+          " and " + std::to_string(n) + " of " + path_.string());
     }
-    throw std::runtime_error("ResultsDb: malformed row in " +
-                             path_.string());
+    rows_.push_back(std::move(row));
   }
 }
 

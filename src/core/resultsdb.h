@@ -12,9 +12,11 @@
 //
 // Durability: save() writes a temporary file in the database's directory
 // and renames it into place, so a crash mid-save never bricks the store;
-// load() tolerates a truncated trailing row (dropped with a warning) and
+// load() tolerates a malformed trailing row (dropped with a warning) and
 // accepts the pre-status four-column header for databases written before
-// failure accounting existed.
+// failure accounting existed.  Every other row load() cannot round-trip
+// -- malformed, wider than its header, or a second row for a (test,
+// compilation) key -- throws std::runtime_error naming its line.
 
 #include <filesystem>
 #include <optional>

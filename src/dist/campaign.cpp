@@ -1,5 +1,6 @@
 #include "dist/campaign.h"
 
+#include <deque>
 #include <optional>
 #include <thread>
 
@@ -13,6 +14,27 @@ std::size_t CampaignRunStats::total_steals() const {
   return total;
 }
 
+void run_claims_pooled(
+    StealQueue& queue, std::size_t ranks,
+    const std::function<void(std::size_t, const StealQueue::Claim&)>& body) {
+  core::ThreadPool pool(static_cast<unsigned>(ranks));
+  pool.parallel_for(ranks, [&](std::size_t r) {
+    const int rank = static_cast<int>(r);
+    while (true) {
+      const std::optional<StealQueue::Claim> claim = queue.claim(rank);
+      if (claim.has_value()) {
+        body(r, *claim);
+      } else if (queue.done_for(rank)) {
+        return;
+      } else {
+        // Un-started slots are not stealable yet; their owners are live
+        // pool lanes (task count == lane count), so the wait is bounded.
+        std::this_thread::yield();
+      }
+    }
+  });
+}
+
 CampaignRunStats run_sharded_campaign(
     std::size_t n, const CampaignShardOptions& opts,
     const std::function<void(std::size_t)>& item) {
@@ -22,28 +44,18 @@ CampaignRunStats run_sharded_campaign(
   ShardComm comm(shards);
   StealQueue queue(comm.scatter_ranges(n), opts.grain, opts.steal);
 
-  core::ThreadPool rank_pool(static_cast<unsigned>(shards));
-  rank_pool.parallel_for(
-      static_cast<std::size_t>(shards), [&](std::size_t r) {
-        const int rank = static_cast<int>(r);
-        // One lane pool per rank, reused across its claims (sequential
-        // parallel_for calls on one pool are fine; reentrancy is not,
-        // which is why the lanes are a distinct pool from rank_pool).
-        core::ThreadPool lanes(jobs);
-        while (true) {
-          const std::optional<StealQueue::Claim> claim = queue.claim(rank);
-          if (!claim.has_value()) {
-            if (queue.drained()) break;
-            // Un-started slots are not stealable yet; their owners are
-            // live pool lanes, so retry rather than exit early.
-            std::this_thread::yield();
-            continue;
-          }
-          const ShardRange rg = claim->range;
-          lanes.parallel_for(rg.size(),
-                             [&](std::size_t k) { item(rg.begin + k); });
-        }
-      });
+  // One lane pool per rank, reused across its claims (sequential
+  // parallel_for calls on one pool are fine; reentrancy is not, which is
+  // why the lanes are distinct from the rank pool).
+  std::deque<core::ThreadPool> lanes;
+  for (int r = 0; r < shards; ++r) lanes.emplace_back(jobs);
+  run_claims_pooled(queue, static_cast<std::size_t>(shards),
+                    [&](std::size_t r, const StealQueue::Claim& claim) {
+                      const ShardRange rg = claim.range;
+                      lanes[r].parallel_for(rg.size(), [&](std::size_t k) {
+                        item(rg.begin + k);
+                      });
+                    });
 
   CampaignRunStats stats;
   stats.items = n;

@@ -12,6 +12,10 @@
 // concurrent items at peak.  Results must be written by global item
 // index; then the merged output is independent of which rank ran what,
 // exactly as in the sharded explorer.
+//
+// The pooled driver underneath, run_claims_pooled, is the one the
+// sharded explorer (ShardCoordinator) runs on as well: one ThreadPool
+// lane per rank, each claiming until nothing can become claimable for it.
 
 #include <cstddef>
 #include <functional>
@@ -36,6 +40,17 @@ struct CampaignRunStats {
 
   [[nodiscard]] std::size_t total_steals() const;
 };
+
+/// Drives `queue` with one ThreadPool lane per rank: lane r claims and
+/// runs body(r, claim) until StealQueue::done_for(r) -- with stealing off
+/// that is as soon as its own slot is empty; with stealing on a thief
+/// that finds only un-started slots yields and retries.  `body` must be
+/// safe to call concurrently for distinct ranks.  A throwing rank leaves
+/// its lane; the exception of the lowest throwing rank propagates once
+/// every lane is done (ThreadPool::parallel_for).
+void run_claims_pooled(
+    StealQueue& queue, std::size_t ranks,
+    const std::function<void(std::size_t, const StealQueue::Claim&)>& body);
 
 /// Runs `item(i)` exactly once for every i in [0, n).  `item` must be
 /// safe to call concurrently (shards x jobs lanes) and should write its

@@ -1,31 +1,30 @@
 #pragma once
 
-// Typed scatter/gather substrate of the sharded distributed study engine.
+// The claim protocol of the sharded distributed study engine.
 //
 // src/par's DeterministicComm gives the repo a deterministic rank
-// partition (`range`) and fixed-order double reductions; the distributed
-// engine needs the same partition contract applied to arbitrary payloads:
-// scatter a compilation-space index range across ranks and gather the
-// per-rank outcome vectors back *by global space index*, so the merged
-// result is bitwise-identical to a single-rank run at any shard count.
-// ShardComm wraps DeterministicComm and inherits its partition verbatim --
-// contiguous ranges, remainder spread over the first `n % nranks` ranks,
-// empty ranges when there are more ranks than items -- so anything proven
-// about `DeterministicComm::range` (tests/par/test_par.cpp) holds for the
-// scatter path too.
+// partition (`range`) and fixed-order double reductions; ShardComm
+// inherits that partition verbatim -- contiguous ranges, remainder spread
+// over the first `n % nranks` ranks, empty ranges when there are more
+// ranks than items -- so anything proven about `DeterministicComm::range`
+// (tests/par/test_par.cpp) holds for the static placement too.
+//
+// The partition seeds a StealQueue of per-rank claim slots, every claim
+// is a contiguous sub-range of positions, and whoever executes a claim
+// writes each outcome straight to its global space index.  The queue's claims jointly cover the space
+// exactly once, which is what makes the merged result bitwise-identical
+// to a single-rank run at any shard count, steal setting or schedule.
 //
 // Everything here is simulated in-process (the same stance as par/comm.h):
-// ranks execute in a fixed order or on the caller's thread pool, and the
-// gather is a deterministic placement by index, not a message race.
+// ranks execute on the caller's thread pool or on one thread under a
+// virtual clock (dist/vclock.h), never as racing messages.
 
 #include <algorithm>
 #include <cstddef>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "par/comm.h"
@@ -60,107 +59,6 @@ class ShardComm {
     return out;
   }
 
-  /// Scatters `items` into per-rank slices following scatter_ranges.
-  template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>> scatter(
-      std::span<const T> items) const {
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      const ShardRange rg = range(r, items.size());
-      out[static_cast<std::size_t>(r)].assign(items.begin() + rg.begin,
-                                              items.begin() + rg.end);
-    }
-    return out;
-  }
-
-  /// Reassembles per-rank vectors into one vector of `n` elements, placing
-  /// rank r's k-th element at global index range(r, n).begin + k.  The
-  /// inverse of scatter: gather_ordered(n, scatter(items)) == items.
-  /// Throws std::invalid_argument when the shard count or any shard's size
-  /// disagrees with the partition -- a merge must never silently misplace
-  /// an outcome.
-  template <typename T>
-  [[nodiscard]] std::vector<T> gather_ordered(
-      std::size_t n, std::vector<std::vector<T>> shards) const {
-    if (shards.size() != static_cast<std::size_t>(size())) {
-      throw std::invalid_argument(
-          "gather_ordered: " + std::to_string(shards.size()) +
-          " shards for a " + std::to_string(size()) + "-rank communicator");
-    }
-    std::vector<T> out(n);
-    for (int r = 0; r < size(); ++r) {
-      const ShardRange rg = range(r, n);
-      std::vector<T>& shard = shards[static_cast<std::size_t>(r)];
-      if (shard.size() != rg.size()) {
-        throw std::invalid_argument(
-            "gather_ordered: rank " + std::to_string(r) + " holds " +
-            std::to_string(shard.size()) + " elements, partition expects " +
-            std::to_string(rg.size()));
-      }
-      for (std::size_t k = 0; k < shard.size(); ++k) {
-        out[rg.begin + k] = std::move(shard[k]);
-      }
-    }
-    return out;
-  }
-
-  /// gather_ordered generalized to permuted partitions: rank r's k-th
-  /// element lands at global index rank_indices[r][k].  The placement
-  /// engine hands each rank a non-contiguous index set, so the gather
-  /// validates what the contiguous partition made structural: the index
-  /// sets must be disjoint and cover [0, n) exactly, and each shard must
-  /// hold exactly one element per owned index.  Any violation throws
-  /// std::invalid_argument -- a merge must never silently misplace or
-  /// double-write an outcome.
-  template <typename T>
-  [[nodiscard]] std::vector<T> gather_indexed(
-      std::size_t n,
-      const std::vector<std::vector<std::size_t>>& rank_indices,
-      std::vector<std::vector<T>> shards) const {
-    if (rank_indices.size() != static_cast<std::size_t>(size()) ||
-        shards.size() != static_cast<std::size_t>(size())) {
-      throw std::invalid_argument(
-          "gather_indexed: " + std::to_string(rank_indices.size()) +
-          " index sets / " + std::to_string(shards.size()) +
-          " shards for a " + std::to_string(size()) + "-rank communicator");
-    }
-    std::vector<T> out(n);
-    std::vector<bool> placed(n, false);
-    for (std::size_t r = 0; r < shards.size(); ++r) {
-      const std::vector<std::size_t>& idx = rank_indices[r];
-      std::vector<T>& shard = shards[r];
-      if (shard.size() != idx.size()) {
-        throw std::invalid_argument(
-            "gather_indexed: rank " + std::to_string(r) + " holds " +
-            std::to_string(shard.size()) + " elements, placement owns " +
-            std::to_string(idx.size()));
-      }
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        if (idx[k] >= n) {
-          throw std::invalid_argument(
-              "gather_indexed: rank " + std::to_string(r) +
-              " owns out-of-space index " + std::to_string(idx[k]) +
-              " (space is " + std::to_string(n) + " items)");
-        }
-        if (placed[idx[k]]) {
-          throw std::invalid_argument(
-              "gather_indexed: global index " + std::to_string(idx[k]) +
-              " owned by more than one rank");
-        }
-        placed[idx[k]] = true;
-        out[idx[k]] = std::move(shard[k]);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!placed[i]) {
-        throw std::invalid_argument("gather_indexed: global index " +
-                                    std::to_string(i) +
-                                    " owned by no rank");
-      }
-    }
-    return out;
-  }
-
  private:
   par::DeterministicComm comm_;
 };
@@ -180,7 +78,9 @@ class ShardComm {
 /// [0, n) exactly once
 /// -- which is what keeps every outcome index-addressed: no matter which
 /// rank executes an item, its result lands at its global space index and
-/// the merged study is bitwise-identical to the static partition.
+/// the merged study is bitwise-identical to a single-rank run.  With
+/// stealing disabled every rank claims only its own slot, grain by grain:
+/// that is the static partition, on the same protocol.
 ///
 /// The victim rule is a deterministic function of the queue state.  Under
 /// serial (virtual-clock) scheduling the whole claim sequence is therefore
@@ -218,10 +118,11 @@ class StealQueue {
                                  ///< pool (failed ranks' returned work)
   };
 
-  /// `ranges` is the static partition (ShardComm::scatter_ranges);
-  /// `grain` caps every claim's size (>= 1, clamped).  `steal_enabled`
-  /// false disables stealing from live slots (the --no-steal fleet);
-  /// orphaned work stays claimable by everyone either way.
+  /// `ranges` are the per-rank slots (ShardComm::scatter_ranges, or a
+  /// placement's position ranges); `grain` caps every claim's size (>= 1,
+  /// clamped).  `steal_enabled` false disables stealing from live slots
+  /// (the --no-steal fleet); orphaned work stays claimable by everyone
+  /// either way.
   StealQueue(std::vector<ShardRange> ranges, std::size_t grain,
              bool steal_enabled = true)
       : grain_(grain < 1 ? 1 : grain), steal_enabled_(steal_enabled) {
@@ -232,8 +133,8 @@ class StealQueue {
 
   /// Grants `rank` its next sub-range, or nullopt when nothing is
   /// claimable *right now* (every started slot is empty).  With un-started
-  /// slots outstanding the queue is not drained -- a pooled thief should
-  /// yield and retry until drained() rather than exit.  Thread-safe.
+  /// slots outstanding a pooled thief should yield and retry until
+  /// done_for() rather than exit.  Thread-safe.
   [[nodiscard]] std::optional<Claim> claim(int rank) {
     const auto r = static_cast<std::size_t>(rank);
     std::lock_guard lock(mu_);
@@ -319,8 +220,8 @@ class StealQueue {
   }
 
   /// True when claim(rank) would grant something *right now*: own work,
-  /// an orphan, or (with stealing) a started victim.  The supervisor's
-  /// virtual-clock loop schedules only claimable ranks, so a rank whose
+  /// an orphan, or (with stealing) a started victim.  The serial
+  /// virtual-clock driver schedules only claimable ranks, so a rank whose
   /// remaining work sits in another live rank's un-started slot never
   /// spins.
   [[nodiscard]] bool claimable(int rank) const {
@@ -334,6 +235,21 @@ class StealQueue {
       if (s.started && s.next < s.end) return true;
     }
     return false;
+  }
+
+  /// True once claim(rank) can never grant anything again: its own slot
+  /// and the orphan pool are empty and, with stealing, so is every other
+  /// slot.  A thief facing only un-started slots is not done -- their
+  /// owners are about to start them.  Orphans appear only through
+  /// release()/mark_dead(), which the serial supervised driver calls, so
+  /// a pooled rank may leave its lane as soon as this holds.
+  [[nodiscard]] bool done_for(int rank) const {
+    std::lock_guard lock(mu_);
+    const Slot& own = slots_.at(static_cast<std::size_t>(rank));
+    if (own.next < own.end || !orphans_.empty()) return false;
+    return !steal_enabled_ ||
+           std::all_of(slots_.begin(), slots_.end(),
+                       [](const Slot& s) { return s.next >= s.end; });
   }
 
   /// True once every slot and the orphan pool are empty (no further claim

@@ -1,17 +1,13 @@
 #include "dist/coordinator.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <system_error>
-#include <optional>
 #include <stdexcept>
-#include <thread>
+#include <system_error>
 #include <utility>
 
-#include "core/parallel.h"
-#include "dist/vclock.h"
+#include "dist/campaign.h"
 #include "obs/session.h"
 #include "toolchain/compile_cache.h"
 
@@ -25,20 +21,21 @@ namespace {
 /// authoritative count).
 ShardRange report_range(const ShardComm& comm, std::size_t space_size,
                         const Placement& placement, std::size_t r) {
-  if (placement.contiguous) {
+  const std::vector<std::size_t>& idx = placement.rank_indices[r];
+  if (placement.contiguous || idx.empty()) {
     return comm.range(static_cast<int>(r), space_size);
   }
-  const std::vector<std::size_t>& idx = placement.rank_indices[r];
-  if (idx.empty()) return comm.range(static_cast<int>(r), space_size);
   return ShardRange{idx.front(), idx.back() + 1};
 }
 
-void fill_placement_fields(ShardReport& rep, const Placement& placement,
-                           std::size_t r) {
-  rep.owned_items = placement.rank_indices[r].size();
-  rep.owned_groups = placement.rank_groups[r];
-  rep.predicted = placement.predicted[r];
-}
+/// One rank's worker state, kept across all of its claims so its
+/// bookkeeping spans owned and stolen work alike.
+struct Worker {
+  std::unique_ptr<toolchain::CompilationCache> cache;
+  std::unique_ptr<core::SpaceExplorer> explorer;
+  std::unique_ptr<core::ResultsDb> db;  ///< null without checkpointing
+  std::size_t ordinal_base = 0;  ///< checkpoint batches already recorded
+};
 
 }  // namespace
 
@@ -124,17 +121,222 @@ core::ExploreFn ShardCoordinator::explore_override() const {
 
 ShardedStudy ShardCoordinator::run_impl(
     const core::TestBase& test,
-    std::span<const toolchain::Compilation> space, bool resume_shards) const {
-  if (!opts_.shard_db_dir.empty()) {
-    std::filesystem::create_directories(opts_.shard_db_dir);
-  }
+    std::span<const toolchain::Compilation> space, bool resume_shards,
+    ClaimHook* hook) const {
+  const bool checkpointing = !opts_.shard_db_dir.empty();
+  if (checkpointing) std::filesystem::create_directories(opts_.shard_db_dir);
 
   const Placement placement =
       place_space(space, opts_.shards, opts_.placement, cost_model_);
+  const std::size_t nranks = placement.shards();
+  const ShardComm comm(opts_.shards);
 
-  ShardedStudy sharded =
-      opts_.steal ? run_placed_stealing(test, space, placement, resume_shards)
-                  : run_placed_static(test, space, placement, resume_shards);
+  // The steal queue deals in contiguous ranges; a permuted placement's
+  // owned sets are made contiguous by *position*: `order` concatenates the
+  // per-rank index sets, each rank's slot is its position range, and a
+  // claim's positions map back to global indices through `order`.  Under
+  // the Static policy `order` is the identity.
+  std::vector<std::size_t> order;
+  order.reserve(space.size());
+  std::vector<ShardRange> slots(nranks);
+  ShardedStudy sharded;
+  sharded.shards.resize(nranks);
+  for (std::size_t r = 0; r < nranks; ++r) {
+    slots[r].begin = order.size();
+    order.insert(order.end(), placement.rank_indices[r].begin(),
+                 placement.rank_indices[r].end());
+    slots[r].end = order.size();
+    ShardReport& rep = sharded.shards[r];
+    rep.rank = static_cast<int>(r);
+    rep.range = report_range(comm, space.size(), placement, r);
+    rep.owned_items = placement.rank_indices[r].size();
+    rep.owned_groups = placement.rank_groups[r];
+    rep.predicted = placement.predicted[r];
+  }
+  sharded.study.test_name = test.name();
+  sharded.study.outcomes.resize(space.size());
+
+  // Per-rank worker state.  A shard database is only written when its
+  // rank records a batch, so ranks that never execute leave no checkpoint
+  // file behind.
+  std::vector<Worker> workers(nranks);
+  const auto fresh_worker = [&](std::size_t r) {
+    workers[r].cache = std::make_unique<toolchain::CompilationCache>();
+    workers[r].explorer = std::make_unique<core::SpaceExplorer>(
+        model_, baseline_, speed_reference_, opts_.jobs,
+        workers[r].cache.get());
+  };
+  for (std::size_t r = 0; r < nranks; ++r) {
+    fresh_worker(r);
+    if (checkpointing) {
+      workers[r].db = std::make_unique<core::ResultsDb>(shard_db_path(
+          opts_.shard_db_dir, static_cast<int>(r), opts_.shards));
+    }
+  }
+
+  // Resume: a stolen or reassigned item checkpoints into the executing
+  // rank's database (and a re-placed item into whichever rank owned it
+  // last run), so the row a claim needs may live in any shard's file.
+  // Seed every shard database with the union of all checkpointed rows;
+  // the explorer's (test, compilation)-keyed prefill then restores each
+  // item no matter which rank recorded it.
+  if (checkpointing && resume_shards) {
+    std::vector<core::ResultRow> union_rows;
+    for (const Worker& w : workers) {
+      union_rows.insert(union_rows.end(), w.db->rows().begin(),
+                        w.db->rows().end());
+    }
+    for (Worker& w : workers) w.db->merge_rows(union_rows);
+  }
+
+  StealQueue queue(slots, opts_.steal_grain, opts_.steal);
+  std::vector<char> written(order.size(), 0);  // per position
+
+  // Executes one claim on rank r's worker, writes each outcome to its
+  // global index, and returns the claim's modeled cost (summed fresh-
+  // executed cycles) for the serial driver's clock.  Claims are disjoint,
+  // so concurrent ranks never write the same slot.
+  const auto execute_claim = [&](std::size_t r, const StealQueue::Claim& c) {
+    ShardReport& rep = sharded.shards[r];
+    Worker& w = workers[r];
+
+    // The executing rank's telemetry lane; stolen and reassigned claims
+    // keep their own span name so a trace shows the rebalance, while the
+    // items inside stay stamped with their global indices either way.
+    obs::ScopedItem obs_lane(static_cast<int>(r), obs::kNoIndex, 0);
+    obs::Span claim_span(
+        obs::tracer_if_enabled(),
+        c.reassigned ? "reassign" : (c.stolen ? "steal" : "shard"), "dist",
+        test.name() + " [" + std::to_string(c.range.begin) + ", " +
+            std::to_string(c.range.end) + ")");
+    obs::MetricsRegistry& m = obs::metrics();
+    if (c.stolen) {
+      m.counter("dist.steals").add();
+      m.counter("dist.stolen_items").add(c.range.size());
+    }
+    if (c.reassigned) {
+      ++sharded.supervisor.reassigned_claims;
+      m.counter("dist.supervisor.reassigned_claims").add();
+      m.counter("dist.supervisor.reassigned_items").add(c.range.size());
+    }
+
+    // The claim's global index set and dense compilation slice.
+    const std::span<const std::size_t> indices(order.data() + c.range.begin,
+                                               c.range.size());
+    std::vector<toolchain::Compilation> items;
+    items.reserve(indices.size());
+    for (std::size_t i : indices) items.push_back(space[i]);
+
+    core::ExploreOptions eo;
+    eo.retry = opts_.retry;
+    eo.keep_going = opts_.keep_going;
+    eo.checkpoint_batch = opts_.checkpoint_batch;
+    eo.obs_shard = static_cast<int>(r);
+    eo.obs_index_base = indices.empty() ? 0 : indices.front();
+    eo.global_indices = indices;
+    std::size_t claim_prefilled = 0;
+    if (w.db != nullptr) {
+      eo.db = w.db.get();
+      eo.resume = resume_shards;
+      // Number this claim's checkpoint batches after the rank's earlier
+      // claims, so the kill site counts durable checkpoints *per rank*.
+      eo.checkpoint_ordinal_base = w.ordinal_base;
+      const std::size_t batch = opts_.checkpoint_batch > 0
+                                    ? opts_.checkpoint_batch
+                                    : c.range.size();
+      w.ordinal_base += (c.range.size() + batch - 1) / batch;
+      if (resume_shards) {
+        for (const toolchain::Compilation& comp : items) {
+          if (w.db->find(test.name(), comp.str()).has_value()) {
+            ++claim_prefilled;
+          }
+        }
+      }
+    }
+
+    core::StudyResult part = w.explorer->explore(test, items, eo);
+    rep.failed += part.failed_count();
+    rep.retried += part.retried_count();
+    rep.prefilled += claim_prefilled;
+    rep.executed_items += c.range.size() - claim_prefilled;
+    // The modeled-cycle skew sample: executed ok outcomes only.  Resumed
+    // rows carry no cycle measurement (the checkpoint database stores
+    // classifications, not cycles), and fresh_cycles additionally drops
+    // anchor-equal items, whose execution is a memoized-anchor reuse.
+    double claim_cost = 0.0;
+    for (const core::CompilationOutcome& o : part.outcomes) {
+      if (o.ok() && o.cycles > 0.0) {
+        rep.cycles.observe(o.cycles);
+        if (o.comp != baseline_ && o.comp != speed_reference_) {
+          rep.fresh_cycles.observe(o.cycles);
+          claim_cost += o.cycles;
+        }
+      }
+    }
+    for (std::size_t k = 0; k < part.outcomes.size(); ++k) {
+      const std::size_t pos = c.range.begin + k;
+      if (written[pos] != 0) {
+        throw std::logic_error("ShardCoordinator: global index " +
+                               std::to_string(order[pos]) +
+                               " claimed twice");
+      }
+      written[pos] = 1;
+      sharded.study.outcomes[order[pos]] = std::move(part.outcomes[k]);
+    }
+    return claim_cost;
+  };
+
+  VirtualClocks clocks(nranks);
+  ClaimFleet fleet{test, space, queue, clocks, sharded, fresh_worker};
+  if (hook != nullptr || opts_.serial_shards || nranks == 1) {
+    // Serial driver: the live claimable rank with the least modeled time
+    // claims next (ties -> lowest rank), the worker that would go idle
+    // first on a concurrent fleet.  Only claimable ranks are scheduled,
+    // so a rank whose remaining work sits in an un-started slot never
+    // spins, and the driver stops when no live rank can claim.
+    while (true) {
+      const std::size_t r = clocks.min_active_where(
+          [&](std::size_t i) { return queue.claimable(static_cast<int>(i)); });
+      if (r == nranks) break;
+      const StealQueue::Claim c = queue.claim(static_cast<int>(r)).value();
+      if (hook != nullptr && !hook->admit(fleet, r, c)) continue;
+      clocks.advance(r, execute_claim(r, c));
+    }
+  } else {
+    // Pooled driver: each rank's explorer opens its own inner pool of
+    // `jobs` lanes, composing shards x jobs.  A StudyAbort inside any
+    // shard surfaces through the pool's lowest-index-rethrow contract.
+    run_claims_pooled(queue, nranks,
+                      [&](std::size_t r, const StealQueue::Claim& c) {
+                        (void)execute_claim(r, c);
+                      });
+  }
+
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const StealQueue::RankStats st = queue.stats(static_cast<int>(r));
+    ShardReport& rep = sharded.shards[r];
+    rep.stolen = st.stolen;
+    rep.donated = st.donated;
+    rep.steals = st.steals;
+    rep.reassigned = st.reassigned;
+    rep.cache = workers[r].cache->stats();
+    sharded.supervisor.reassigned_items += st.reassigned;
+  }
+
+  // Exactly-once coverage: a position no claim wrote is a fleet that died
+  // with work left (the supervisor degrades or aborts) or, unsupervised,
+  // a protocol bug.
+  std::vector<std::size_t> unwritten;
+  for (std::size_t p = 0; p < written.size(); ++p) {
+    if (written[p] == 0) unwritten.push_back(order[p]);
+  }
+  if (hook != nullptr) {
+    hook->finish(fleet, unwritten);
+  } else if (!unwritten.empty()) {
+    throw std::logic_error("ShardCoordinator: global index " +
+                           std::to_string(unwritten.front()) +
+                           " was never claimed");
+  }
 
   sharded.placement.policy = placement.policy;
   sharded.placement.contiguous = placement.contiguous;
@@ -161,8 +363,9 @@ ShardedStudy ShardCoordinator::run_impl(
     // units, so rescale its predictions to the run's actual cycle total
     // before comparing.  Anchor-equal items are answered from the memoized
     // anchor run (their "cost" is reuse, not execution) and quarantined
-    // items carry no cycles; both are excluded.  Iterated in global index
-    // order with fixed-point accumulation, the histogram is deterministic.
+    // or degraded items carry no cycles; all are excluded.  Iterated in
+    // global index order with fixed-point accumulation, the histogram is
+    // deterministic.
     double predicted_sum = 0.0, actual_sum = 0.0;
     const auto fresh = [&](const core::CompilationOutcome& o) {
       return o.ok() && o.cycles > 0.0 && o.comp != baseline_ &&
@@ -186,348 +389,6 @@ ShardedStudy ShardCoordinator::run_impl(
   }
 
   if (opts_.db != nullptr) opts_.db->record(sharded.study);
-  return sharded;
-}
-
-ShardedStudy ShardCoordinator::run_placed_static(
-    const core::TestBase& test,
-    std::span<const toolchain::Compilation> space, const Placement& placement,
-    bool resume_shards) const {
-  const ShardComm comm(opts_.shards);
-  const bool checkpointing = !opts_.shard_db_dir.empty();
-  const std::size_t nranks = placement.shards();
-
-  std::vector<core::StudyResult> partials(nranks);
-  std::vector<ShardReport> reports(nranks);
-
-  // Per-rank checkpoint databases, opened up front so a resume can
-  // union-seed them: under a permuted placement (or after a prior run at a
-  // different policy, or with stealing) the row an item needs may have
-  // been checkpointed by any rank, so every database is seeded with the
-  // union of all rows and the explorer's (test, compilation)-keyed
-  // prefill restores each item no matter who recorded it.  A database is
-  // only written when its rank records a batch, so idle ranks still leave
-  // no checkpoint file behind.
-  std::vector<std::unique_ptr<core::ResultsDb>> shard_dbs(nranks);
-  if (checkpointing) {
-    for (std::size_t r = 0; r < nranks; ++r) {
-      shard_dbs[r] = std::make_unique<core::ResultsDb>(shard_db_path(
-          opts_.shard_db_dir, static_cast<int>(r), opts_.shards));
-    }
-    if (resume_shards) {
-      std::vector<core::ResultRow> union_rows;
-      for (const auto& db : shard_dbs) {
-        union_rows.insert(union_rows.end(), db->rows().begin(),
-                          db->rows().end());
-      }
-      for (const auto& db : shard_dbs) db->merge_rows(union_rows);
-    }
-  }
-
-  // One rank: an isolated worker with its own cache, explorer and
-  // checkpoint database, exploring its owned index set.  Outcomes land in
-  // the rank's partial slot in owned-index order; merge_placed reassembles
-  // them by global index.
-  const auto run_shard = [&](std::size_t r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<std::size_t>& indices = placement.rank_indices[r];
-    ShardReport& rep = reports[r];
-    rep.rank = static_cast<int>(r);
-    rep.range = report_range(comm, space.size(), placement, r);
-    fill_placement_fields(rep, placement, r);
-    core::StudyResult& out = partials[r];
-    out.test_name = test.name();
-    if (indices.empty()) return;  // more ranks than items: nothing to run
-
-    // The shard's telemetry lane: anchors and shard-level spans carry the
-    // rank, and the explorer stamps each item with its *global* space
-    // index, so the merged trace is independent of which thread ran the
-    // shard.  kNoIndex marks shard-scoped (not per-item) events.
-    obs::ScopedItem obs_lane(static_cast<int>(r), obs::kNoIndex, 0);
-    obs::Span shard_span(
-        obs::tracer_if_enabled(), "shard", "dist",
-        placement.contiguous
-            ? test.name() + " [" + std::to_string(indices.front()) + ", " +
-                  std::to_string(indices.back() + 1) + ")"
-            : test.name() + " " + std::to_string(indices.size()) +
-                  " item(s)");
-
-    // Densify the owned set: the explorer runs a compact slice and the
-    // index vector carries each element's global identity.
-    std::vector<toolchain::Compilation> items;
-    items.reserve(indices.size());
-    for (std::size_t i : indices) items.push_back(space[i]);
-
-    toolchain::CompilationCache cache;
-    core::SpaceExplorer explorer(model_, baseline_, speed_reference_,
-                                 opts_.jobs, &cache);
-    core::ExploreOptions eo;
-    eo.retry = opts_.retry;
-    eo.keep_going = opts_.keep_going;
-    eo.checkpoint_batch = opts_.checkpoint_batch;
-    eo.obs_shard = static_cast<int>(r);
-    eo.obs_index_base = indices.front();
-    eo.global_indices = indices;
-
-    if (checkpointing) {
-      eo.db = shard_dbs[r].get();
-      eo.resume = resume_shards;
-      if (resume_shards) {
-        for (const toolchain::Compilation& c : items) {
-          if (shard_dbs[r]->find(test.name(), c.str()).has_value()) {
-            ++rep.prefilled;
-          }
-        }
-      }
-    }
-
-    out = explorer.explore(test, items, eo);
-    rep.failed = out.failed_count();
-    rep.retried = out.retried_count();
-    rep.executed_items = indices.size() - rep.prefilled;
-    rep.cache = cache.stats();
-    // The shard's modeled-cycle skew sample: executed ok outcomes only.
-    // Resumed rows carry no cycle measurement (the checkpoint database
-    // stores classifications, not cycles), so they would register as
-    // zero-cost items and fake a skew that is not there.  fresh_cycles
-    // additionally drops anchor-equal items, whose cycles are recorded
-    // but whose execution is a memoized-anchor reuse.
-    for (const core::CompilationOutcome& o : out.outcomes) {
-      if (o.ok() && o.cycles > 0.0) {
-        rep.cycles.observe(o.cycles);
-        if (o.comp != baseline_ && o.comp != speed_reference_) {
-          rep.fresh_cycles.observe(o.cycles);
-        }
-      }
-    }
-    rep.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  };
-
-  if (opts_.serial_shards || opts_.shards == 1) {
-    for (std::size_t r = 0; r < nranks; ++r) run_shard(r);
-  } else {
-    // One pool lane per shard; each shard's explorer opens its own inner
-    // pool of `jobs` lanes, composing shards x jobs.  A StudyAbort inside
-    // any shard surfaces through the pool's lowest-index-rethrow contract,
-    // matching what a serial shard loop would throw first.
-    core::ThreadPool pool(static_cast<unsigned>(opts_.shards));
-    pool.parallel_for(nranks, run_shard);
-  }
-
-  ShardedStudy sharded;
-  sharded.study =
-      merge_placed(comm, space.size(), placement, std::move(partials));
-  sharded.shards = std::move(reports);
-  return sharded;
-}
-
-ShardedStudy ShardCoordinator::run_placed_stealing(
-    const core::TestBase& test,
-    std::span<const toolchain::Compilation> space, const Placement& placement,
-    bool resume_shards) const {
-  const ShardComm comm(opts_.shards);
-  const bool checkpointing = !opts_.shard_db_dir.empty();
-  const std::size_t nranks = placement.shards();
-
-  // The steal queue deals in contiguous ranges; a permuted placement's
-  // owned sets are made contiguous by *position*: `order` concatenates the
-  // per-rank index sets, each rank's slot is its position range, and a
-  // claim's positions map back to global indices through `order`.  Under
-  // the Static policy `order` is the identity, so positions equal global
-  // indices and this is the historical stealing path verbatim.
-  std::vector<std::size_t> order;
-  order.reserve(space.size());
-  std::vector<ShardRange> slots(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    slots[r].begin = order.size();
-    order.insert(order.end(), placement.rank_indices[r].begin(),
-                 placement.rank_indices[r].end());
-    slots[r].end = order.size();
-  }
-
-  std::vector<ShardReport> reports(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    reports[r].rank = static_cast<int>(r);
-    reports[r].range = report_range(comm, space.size(), placement, r);
-    fill_placement_fields(reports[r], placement, r);
-  }
-
-  // Claims are disjoint position sub-ranges that jointly cover the space
-  // exactly once, so every outcome is written straight to its global
-  // index: no gather step, no way for rebalancing to misplace a result.
-  core::StudyResult merged;
-  merged.test_name = test.name();
-  merged.outcomes.resize(space.size());
-
-  // Persistent per-rank worker state: each rank keeps one cache, one
-  // explorer and (with checkpointing) one shard database across all of its
-  // claims, so its bookkeeping spans owned and stolen work alike.  The
-  // database is only written when the rank records a batch, so ranks that
-  // never execute still leave no checkpoint file behind.
-  std::vector<std::unique_ptr<toolchain::CompilationCache>> caches(nranks);
-  std::vector<std::unique_ptr<core::SpaceExplorer>> explorers(nranks);
-  std::vector<std::unique_ptr<core::ResultsDb>> shard_dbs(nranks);
-  std::vector<std::size_t> ordinal_base(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    caches[r] = std::make_unique<toolchain::CompilationCache>();
-    explorers[r] = std::make_unique<core::SpaceExplorer>(
-        model_, baseline_, speed_reference_, opts_.jobs, caches[r].get());
-    if (checkpointing) {
-      shard_dbs[r] = std::make_unique<core::ResultsDb>(shard_db_path(
-          opts_.shard_db_dir, static_cast<int>(r), opts_.shards));
-    }
-  }
-
-  // Resume under rebalancing: a stolen item checkpoints into the *thief's*
-  // shard database (and a re-placed item into whichever rank owned it last
-  // run), so the row a claim needs may live in any shard's file.  Seed
-  // every shard database with the union of all checkpointed rows; the
-  // explorer's (test, compilation)-keyed prefill then restores each item
-  // no matter which rank recorded it.
-  if (checkpointing && resume_shards) {
-    std::vector<core::ResultRow> union_rows;
-    for (const auto& db : shard_dbs) {
-      union_rows.insert(union_rows.end(), db->rows().begin(),
-                        db->rows().end());
-    }
-    for (const auto& db : shard_dbs) db->merge_rows(union_rows);
-  }
-
-  StealQueue queue(slots, opts_.steal_grain);
-
-  // Executes one claimed position sub-range on rank r's worker state and
-  // writes the outcomes to their global indices (claims are disjoint, so
-  // the writes are race-free).  Returns the claim's wall seconds for the
-  // clocks.
-  const auto execute_claim = [&](std::size_t r, const StealQueue::Claim& c) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ShardReport& rep = reports[r];
-
-    // The executing rank's telemetry lane; stolen claims keep their own
-    // span name so a trace shows the rebalance, while the items inside
-    // stay stamped with their global indices either way.
-    obs::ScopedItem obs_lane(static_cast<int>(r), obs::kNoIndex, 0);
-    obs::Span claim_span(
-        obs::tracer_if_enabled(), c.stolen ? "steal" : "shard", "dist",
-        test.name() + " [" + std::to_string(c.range.begin) + ", " +
-            std::to_string(c.range.end) + ")");
-    if (c.stolen) {
-      obs::metrics().counter("dist.steals").add();
-      obs::metrics().counter("dist.stolen_items").add(c.range.size());
-    }
-
-    // The claim's global index set and dense compilation slice.
-    std::vector<std::size_t> indices(
-        order.begin() + static_cast<std::ptrdiff_t>(c.range.begin),
-        order.begin() + static_cast<std::ptrdiff_t>(c.range.end));
-    std::vector<toolchain::Compilation> items;
-    items.reserve(indices.size());
-    for (std::size_t i : indices) items.push_back(space[i]);
-
-    core::ExploreOptions eo;
-    eo.retry = opts_.retry;
-    eo.keep_going = opts_.keep_going;
-    eo.checkpoint_batch = opts_.checkpoint_batch;
-    eo.obs_shard = static_cast<int>(r);
-    eo.obs_index_base = indices.empty() ? 0 : indices.front();
-    eo.global_indices = indices;
-    std::size_t claim_prefilled = 0;
-    if (shard_dbs[r] != nullptr) {
-      eo.db = shard_dbs[r].get();
-      eo.resume = resume_shards;
-      // Number this claim's checkpoint batches after the rank's earlier
-      // claims, so the kill site keeps counting durable checkpoints *per
-      // rank* exactly as it does under the static partition.
-      eo.checkpoint_ordinal_base = ordinal_base[r];
-      const std::size_t batch = opts_.checkpoint_batch > 0
-                                    ? opts_.checkpoint_batch
-                                    : c.range.size();
-      ordinal_base[r] += (c.range.size() + batch - 1) / batch;
-      if (resume_shards) {
-        for (const toolchain::Compilation& comp : items) {
-          if (shard_dbs[r]->find(test.name(), comp.str()).has_value()) {
-            ++claim_prefilled;
-          }
-        }
-      }
-    }
-
-    core::StudyResult part = explorers[r]->explore(test, items, eo);
-    rep.failed += part.failed_count();
-    rep.retried += part.retried_count();
-    rep.prefilled += claim_prefilled;
-    rep.executed_items += c.range.size() - claim_prefilled;
-    for (const core::CompilationOutcome& o : part.outcomes) {
-      if (o.ok() && o.cycles > 0.0) {
-        rep.cycles.observe(o.cycles);
-        if (o.comp != baseline_ && o.comp != speed_reference_) {
-          rep.fresh_cycles.observe(o.cycles);
-        }
-      }
-    }
-    for (std::size_t k = 0; k < part.outcomes.size(); ++k) {
-      merged.outcomes[indices[k]] = std::move(part.outcomes[k]);
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
-  if (opts_.serial_shards || opts_.shards == 1) {
-    // Virtual-clock fleet emulation: grant the next claim to the rank with
-    // the least accumulated wall time (ties -> lowest rank), which is the
-    // worker that would go idle first on a real fleet.  The claim sequence
-    // is a deterministic function of the queue state and measured
-    // durations, steals land exactly where a concurrent fleet would
-    // rebalance, and per-rank seconds stay the fleet-timing measurement
-    // (fleet wall-clock = max_shard_seconds()).
-    VirtualClocks clocks(nranks);
-    while (clocks.live() > 0) {
-      const std::size_t r = clocks.min_active();
-      const auto c = queue.claim(static_cast<int>(r));
-      if (!c.has_value()) {
-        clocks.deactivate(r);
-        continue;
-      }
-      clocks.advance(r, execute_claim(r, *c));
-    }
-    for (std::size_t r = 0; r < nranks; ++r) {
-      reports[r].seconds = clocks.clock(r);
-    }
-  } else {
-    // One pool lane per rank; each lane loops claims until the queue is
-    // drained.  A nullopt with the queue not yet drained means the only
-    // remaining items sit in un-started slots -- their owner's lane is
-    // about to claim them -- so the thief yields and retries instead of
-    // exiting (task count == lane count, so an unclaimed owner task always
-    // has a free lane and the wait is bounded).
-    core::ThreadPool pool(static_cast<unsigned>(opts_.shards));
-    pool.parallel_for(nranks, [&](std::size_t r) {
-      while (true) {
-        const auto c = queue.claim(static_cast<int>(r));
-        if (!c.has_value()) {
-          if (queue.drained()) return;
-          std::this_thread::yield();
-          continue;
-        }
-        reports[r].seconds += execute_claim(r, *c);
-      }
-    });
-  }
-
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const StealQueue::RankStats st = queue.stats(static_cast<int>(r));
-    reports[r].stolen = st.stolen;
-    reports[r].donated = st.donated;
-    reports[r].steals = st.steals;
-    reports[r].cache = caches[r]->stats();
-  }
-
-  ShardedStudy sharded;
-  sharded.study = std::move(merged);
-  sharded.shards = std::move(reports);
   return sharded;
 }
 

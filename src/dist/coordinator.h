@@ -4,30 +4,34 @@
 //
 // The thread-pooled explorer (src/core/parallel.h) parallelizes one study
 // inside a single process; ShardCoordinator is the next scale step: it
-// partitions the compilation-space index range across R simulated ranks
-// via ShardComm, drives each rank as an independent worker -- its own
-// SpaceExplorer, its own CompilationCache, its own RetryPolicy budget,
-// and (optionally) its own ResultsDb checkpoint file -- and merges the
-// per-rank results into a StudyResult that is bitwise-identical to a
-// single-rank run at any shard count.
+// places the compilation space across R simulated ranks and runs every
+// rank as an independent worker -- its own SpaceExplorer, its own
+// CompilationCache, its own RetryPolicy budget, and (optionally) its own
+// ResultsDb checkpoint file.
 //
-// Concurrency composes multiplicatively: shards fan out over a ThreadPool
-// (one lane per shard) and each shard's explorer fans its slice out over
-// `jobs` lanes, so `--shards R --jobs J` uses up to R*J lanes.  With
-// `serial_shards` the ranks run one after another on the calling thread,
-// which is what the scaling bench uses to time each worker in isolation
-// (fleet wall-clock = the slowest shard).
+// There is one claim path.  The placement (ShardOptions::placement: the
+// contiguous split, a predicted-cost LPT balance, or fingerprint-affine
+// grouping from dist/placement.h) becomes a StealQueue of per-rank claim
+// slots; ranks pull `steal_grain`-sized claims off the front of their own
+// slot and, with ShardOptions::steal, steal trailing sub-ranges from the
+// most-loaded slot once their own is empty.  Every claim runs through the
+// same body, which writes each outcome straight to its global space
+// index and marks that position done, so no gather step exists and the
+// merged study is bitwise-identical to a single-rank run at any policy x
+// shards x jobs x steal setting.  An unwritten or twice-written position
+// is a protocol bug and throws std::logic_error.
 //
-// The partition itself is a placement decision (ShardOptions::placement):
-// the contiguous index split by default, or a predicted-cost LPT balance /
-// fingerprint-affine grouping from dist/placement.h.  By default the ranks
-// additionally rebalance by work stealing (ShardOptions::steal): the
-// placement becomes a StealQueue of per-rank claim slots, owners pull
-// grain-sized chunks off the front of their slice, and an exhausted rank
-// steals trailing sub-ranges from the most-loaded slot.  Outcomes are
-// index-addressed, so neither placement nor rebalancing changes anything
-// but fleet wall-clock and cache traffic -- never the merged study,
-// report CSV or converged database bytes.
+// Two drivers pull claims from the queue:
+//   * pooled -- one ThreadPool lane per rank (run_claims_pooled, shared
+//     with the blame campaign), each rank's explorer fanning its claims
+//     out over `jobs` lanes, so `--shards R --jobs J` uses up to R*J
+//     lanes;
+//   * serial -- one thread, the rank with the smallest virtual clock
+//     claims next, and each claim advances its rank's clock by the
+//     modeled fresh cycles it executed.  The claim schedule is then a pure
+//     function of the space and the options.  `serial_shards`, one-shard
+//     runs, and every FleetSupervisor run use it; the supervisor hooks in
+//     per claim (ClaimHook) to inject rank faults and recover from them.
 //
 // Fault injection stays deterministic across shard counts for free: the
 // injector's trial scope is keyed by the study item's global identity
@@ -38,7 +42,9 @@
 // the same bytes an uninterrupted run produces.
 
 #include <filesystem>
+#include <functional>
 #include <span>
+#include <vector>
 
 #include "core/explorer.h"
 #include "core/resultsdb.h"
@@ -46,6 +52,7 @@
 #include "dist/cost_model.h"
 #include "dist/merge.h"
 #include "dist/placement.h"
+#include "dist/vclock.h"
 
 namespace flit::dist {
 
@@ -53,30 +60,27 @@ struct ShardOptions {
   int shards = 1;     ///< simulated ranks (>= 1)
   unsigned jobs = 1;  ///< parallel lanes *per shard*
 
-  /// Run the ranks one after another on the calling thread instead of
-  /// fanning them out over a ThreadPool.  Results are identical either
-  /// way; serial execution makes per-shard wall times non-overlapping.
-  /// With stealing, serial execution emulates the concurrent fleet on a
-  /// virtual clock: the rank with the least accumulated wall time claims
-  /// next, so steals happen exactly when an idle worker would grab them
-  /// and per-shard seconds remain the fleet-timing measurement.
+  /// Drive the ranks serially on the calling thread instead of one
+  /// ThreadPool lane per rank: the deterministic schedule.  The rank with
+  /// the smallest virtual clock claims next, and a claim advances its
+  /// rank's clock by the modeled fresh cycles it executed, so claims and
+  /// steals land where an idle worker of a concurrent fleet would take
+  /// them -- identically on every run.  Results are identical either way.
   bool serial_shards = false;
 
-  /// Work-stealing shard rebalancing (default on): ranks claim
-  /// `steal_grain`-sized sub-ranges off the front of their own slice, and
-  /// a rank whose slice is exhausted steals a trailing sub-range from the
-  /// unexplored tail of the most-loaded rank (ties broken by rank).
-  /// Outcomes stay index-addressed, so the merged study, report CSV and
-  /// converged database are bitwise-identical with stealing on or off at
-  /// any shards x jobs -- stealing only moves *where* items execute,
-  /// which shard databases they checkpoint into, and the fleet
-  /// wall-clock.  `false` restores the static contiguous partition.
+  /// Work-stealing shard rebalancing (default on): a rank whose own slot
+  /// is exhausted steals a trailing sub-range from the unexplored tail of
+  /// the most-loaded rank (ties broken by rank).  Outcomes stay
+  /// index-addressed, so the merged study, report CSV and converged
+  /// database are bitwise-identical with stealing on or off at any
+  /// shards x jobs -- stealing only moves *where* items execute, which
+  /// shard databases they checkpoint into, and the fleet's balance.
+  /// `false` keeps every rank on its own slot: the static partition.
   bool steal = true;
 
-  /// Claim granularity (items per claim) when `steal` is on.  Slices no
-  /// larger than the grain are claimed whole, so small studies behave
-  /// exactly like the static partition; skewed spaces want a grain well
-  /// below the per-shard slice so idle ranks find a stealable tail.
+  /// Claim granularity (items per claim), stealing on or off.  Slices no
+  /// larger than the grain are claimed whole; skewed spaces want a grain
+  /// well below the per-shard slice so idle ranks find a stealable tail.
   std::size_t steal_grain = 16;
 
   /// How the space is partitioned across the ranks before anything runs
@@ -128,6 +132,8 @@ struct ShardOptions {
   core::ResultsDb* db = nullptr;
 };
 
+class ClaimHook;
+
 class ShardCoordinator {
  public:
   /// `baseline` / `speed_reference` are the anchor compilations of every
@@ -138,10 +144,9 @@ class ShardCoordinator {
                    toolchain::Compilation baseline,
                    toolchain::Compilation speed_reference, ShardOptions opts);
 
-  /// Scatters `space` across the ranks, executes every shard, gathers the
-  /// outcomes by global index, and (with `opts.db`) records the merged
-  /// study.  An anchor failure in any shard throws core::StudyAbort, as
-  /// in the single-process engine.
+  /// Places `space` across the ranks, runs every claim, and (with
+  /// `opts.db`) records the merged study.  An anchor failure in any shard
+  /// throws core::StudyAbort, as in the single-process engine.
   [[nodiscard]] ShardedStudy run(
       const core::TestBase& test,
       std::span<const toolchain::Compilation> space) const;
@@ -171,36 +176,52 @@ class ShardCoordinator {
   [[nodiscard]] const CostModel& cost_model() const { return cost_model_; }
 
  private:
+  friend class FleetSupervisor;
+
+  /// The one claim path.  With a `hook` (FleetSupervisor's) the serial
+  /// driver runs, admitting every claim through it and handing it the
+  /// unwritten positions at the end.
   [[nodiscard]] ShardedStudy run_impl(
       const core::TestBase& test,
-      std::span<const toolchain::Compilation> space, bool resume_shards)
-      const;
-
-  /// The non-stealing path (steal == false): each rank owns its placement
-  /// index set outright and the merge gathers by owned index
-  /// (merge_placed validates disjoint exact coverage).  With the Static
-  /// policy this is the historical contiguous partition.
-  [[nodiscard]] ShardedStudy run_placed_static(
-      const core::TestBase& test,
-      std::span<const toolchain::Compilation> space,
-      const Placement& placement, bool resume_shards) const;
-
-  /// The work-stealing path (steal == true): the placement's per-rank
-  /// index sets are concatenated into a position order, ranks pull
-  /// grain-sized position claims from a StealQueue, and outcomes are
-  /// written straight to their global indices -- so the merged study is
-  /// bitwise-identical to run_placed_static at any shards x jobs, under
-  /// any placement policy.
-  [[nodiscard]] ShardedStudy run_placed_stealing(
-      const core::TestBase& test,
-      std::span<const toolchain::Compilation> space,
-      const Placement& placement, bool resume_shards) const;
+      std::span<const toolchain::Compilation> space, bool resume_shards,
+      ClaimHook* hook = nullptr) const;
 
   const fpsem::CodeModel* model_;
   toolchain::Compilation baseline_;
   toolchain::Compilation speed_reference_;
   ShardOptions opts_;
   CostModel cost_model_;
+};
+
+/// What a ClaimHook may act on while the serial driver runs: the queue,
+/// the ranks' virtual clocks (modeled cycles), the study being assembled
+/// (outcomes, per-shard reports, supervisor summary), and `restart`,
+/// which gives a rank a fresh cache and explorer while its checkpoint
+/// database and checkpoint-ordinal base persist.
+struct ClaimFleet {
+  const core::TestBase& test;
+  std::span<const toolchain::Compilation> space;
+  StealQueue& queue;
+  VirtualClocks& clocks;
+  ShardedStudy& result;
+  std::function<void(std::size_t rank)> restart;
+};
+
+/// Per-claim rank supervision of the serial driver (dist/supervisor.h).
+class ClaimHook {
+ public:
+  virtual ~ClaimHook() = default;
+
+  /// Called before rank `r` executes claim `c`.  Returns false when the
+  /// rank was lost on the claim; the hook has then returned the claim to
+  /// the queue and restarted or retired the rank.
+  virtual bool admit(ClaimFleet& fleet, std::size_t r,
+                     const StealQueue::Claim& c) = 0;
+
+  /// Called once the driver stops, with the global indices no claim
+  /// wrote (a fleet that died with work left): fill them or throw.
+  virtual void finish(ClaimFleet& fleet,
+                      const std::vector<std::size_t>& unwritten) = 0;
 };
 
 }  // namespace flit::dist

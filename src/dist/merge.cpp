@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <utility>
 
 namespace flit::dist {
 
@@ -56,58 +55,6 @@ double ShardedStudy::max_shard_fresh_cycles() const {
     worst = std::max(worst, s.fresh_cycle_sum());
   }
   return worst;
-}
-
-double ShardedStudy::total_shard_seconds() const {
-  double total = 0.0;
-  for (const ShardReport& s : shards) total += s.seconds;
-  return total;
-}
-
-double ShardedStudy::max_shard_seconds() const {
-  double worst = 0.0;
-  for (const ShardReport& s : shards) worst = std::max(worst, s.seconds);
-  return worst;
-}
-
-core::StudyResult merge_shards(const ShardComm& comm, std::size_t space_size,
-                               std::vector<core::StudyResult> per_shard) {
-  core::StudyResult merged;
-  if (!per_shard.empty()) merged.test_name = per_shard.front().test_name;
-
-  std::vector<std::vector<core::CompilationOutcome>> slices;
-  slices.reserve(per_shard.size());
-  for (core::StudyResult& r : per_shard) {
-    if (!r.test_name.empty() && r.test_name != merged.test_name) {
-      throw std::invalid_argument("merge_shards: shard results for '" +
-                                  r.test_name + "' and '" +
-                                  merged.test_name + "' cannot merge");
-    }
-    slices.push_back(std::move(r.outcomes));
-  }
-  merged.outcomes = comm.gather_ordered(space_size, std::move(slices));
-  return merged;
-}
-
-core::StudyResult merge_placed(const ShardComm& comm, std::size_t space_size,
-                               const Placement& placement,
-                               std::vector<core::StudyResult> per_shard) {
-  core::StudyResult merged;
-  if (!per_shard.empty()) merged.test_name = per_shard.front().test_name;
-
-  std::vector<std::vector<core::CompilationOutcome>> slices;
-  slices.reserve(per_shard.size());
-  for (core::StudyResult& r : per_shard) {
-    if (!r.test_name.empty() && r.test_name != merged.test_name) {
-      throw std::invalid_argument("merge_placed: shard results for '" +
-                                  r.test_name + "' and '" +
-                                  merged.test_name + "' cannot merge");
-    }
-    slices.push_back(std::move(r.outcomes));
-  }
-  merged.outcomes = comm.gather_indexed(space_size, placement.rank_indices,
-                                        std::move(slices));
-  return merged;
 }
 
 std::string shard_report_text(const ShardedStudy& s) {

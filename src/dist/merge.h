@@ -1,15 +1,15 @@
 #pragma once
 
-// Deterministic merge of per-shard study results.
+// The merged result of a sharded study and its per-shard accounting.
 //
-// Each shard of the distributed engine produces an index-ordered
-// StudyResult over its slice of the compilation space, plus local
-// bookkeeping: failure/retry tallies, compilation-cache statistics, and
-// (with checkpointing) how many rows were restored from its shard
-// database.  The merge reassembles the outcomes by global space index via
-// ShardComm::gather_ordered -- so the merged StudyResult is
-// bitwise-identical to a single-rank run -- and sums the bookkeeping into
-// a per-shard + aggregate report.
+// ShardCoordinator writes every claim's outcomes straight to their
+// global space indices, so the merged StudyResult needs no gather step:
+// it is bitwise-identical to a single-rank run by construction.  What
+// each rank did -- executed vs. checkpoint-prefilled items, failures and
+// retries, compilation-cache statistics, stolen/donated work, modeled-
+// cycle skew and, under FleetSupervisor, its recovery -- is summed here
+// into per-shard reports, a placement summary, a supervisor summary, and
+// the human-readable merge report.
 
 #include <cstddef>
 #include <string>
@@ -33,8 +33,6 @@ struct ShardReport {
   std::size_t prefilled = 0;  ///< rows restored from the shard checkpoint
   std::size_t failed = 0;     ///< quarantined outcomes in the slice
   std::size_t retried = 0;    ///< outcomes recovered by retry
-  double seconds = 0.0;       ///< shard wall time (meaningful when shards
-                              ///< execute serially; overlaps otherwise)
   toolchain::CacheStats cache{};
 
   /// Work-stealing rebalance accounting: items this shard pulled from
@@ -95,7 +93,7 @@ struct ShardReport {
 };
 
 /// The placement decision a sharded study ran under, summarized for the
-/// merge report and the scaling bench.
+/// merge report.
 struct PlacementSummary {
   PlacementPolicy policy = PlacementPolicy::Static;
   bool contiguous = true;    ///< rank index sets were the ShardComm slices
@@ -156,33 +154,7 @@ struct ShardedStudy {
   /// cycles): the fleet's critical path in model units, comparable across
   /// runs where real seconds are not.
   [[nodiscard]] double max_shard_fresh_cycles() const;
-
-  /// Sum of per-shard wall times (total worker-seconds) and the slowest
-  /// shard (the fleet's critical path when shards run on dedicated
-  /// workers).
-  [[nodiscard]] double total_shard_seconds() const;
-  [[nodiscard]] double max_shard_seconds() const;
 };
-
-/// Reassembles per-shard outcome vectors into one StudyResult ordered by
-/// global space index.  `per_shard[r]` must hold exactly the outcomes of
-/// comm.range(r, space_size), in slice order; a size mismatch throws
-/// std::invalid_argument (a merge must never silently misplace an
-/// outcome).  The result is bitwise-identical to a single-rank run over
-/// the same space.
-[[nodiscard]] core::StudyResult merge_shards(
-    const ShardComm& comm, std::size_t space_size,
-    std::vector<core::StudyResult> per_shard);
-
-/// merge_shards generalized to the placement engine's permuted
-/// partitions: `per_shard[r]` holds the outcomes of rank r's owned index
-/// set (placement.rank_indices[r]), in owned-index order, and the gather
-/// places each at its global index via ShardComm::gather_indexed --
-/// validating disjoint exact coverage of the space.  With a contiguous
-/// placement this is merge_shards exactly.
-[[nodiscard]] core::StudyResult merge_placed(
-    const ShardComm& comm, std::size_t space_size, const Placement& placement,
-    std::vector<core::StudyResult> per_shard);
 
 /// Human-readable merge report: one line per shard (owned range or item
 /// count, executed vs. prefilled counts, failures, retries, cache hit

@@ -1,31 +1,130 @@
 #include "dist/supervisor.h"
 
-#include <chrono>
 #include <cmath>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dist/vclock.h"
 #include "obs/session.h"
-#include "toolchain/compile_cache.h"
 
 namespace flit::dist {
 
 namespace {
 
-/// The report's per-shard range field, as the coordinator computes it.
-ShardRange report_range(const ShardComm& comm, std::size_t space_size,
-                        const Placement& placement, std::size_t r) {
-  if (placement.contiguous) {
-    return comm.range(static_cast<int>(r), space_size);
+/// One supervised run's per-claim hook: the rank-level fault decision,
+/// release, restart with backoff or retirement, and the degraded pass.
+class RankSupervision final : public ClaimHook {
+ public:
+  explicit RankSupervision(const SupervisorOptions& opts)
+      : opts_(opts),
+        incarnation_(static_cast<std::size_t>(opts.shard.shards), 0),
+        restarts_used_(static_cast<std::size_t>(opts.shard.shards), 0) {}
+
+  bool admit(ClaimFleet& fleet, std::size_t r,
+             const StealQueue::Claim& c) override {
+    // Rank-level fault decision, hashed per (rank, incarnation, claim
+    // range): deterministic at any schedule, and a restarted incarnation
+    // re-rolls -- which is what makes recovery converge.
+    bool rank_fault = false;
+    bool rank_stall = false;
+    {
+      const core::FaultInjector::ScopedTrial trial(
+          fleet.test.name() + "|rank" + std::to_string(r), incarnation_[r]);
+      const std::string key = "claim[" + std::to_string(c.range.begin) +
+                              "," + std::to_string(c.range.end) + ")";
+      const core::FaultInjector& inj = core::FaultInjector::global();
+      rank_fault = inj.should_fail(core::FaultSite::Shard, key);
+      rank_stall = !rank_fault && inj.should_fail(core::FaultSite::Stall, key);
+    }
+    if (!rank_fault && !rank_stall) return true;
+
+    // The rank died (shard) or hung (stall) on this claim.  Death is
+    // claim-atomic -- no outcome, no checkpoint batch -- so the whole
+    // range returns to the orphan pool for any survivor (including this
+    // rank's next incarnation) to re-claim.
+    obs::MetricsRegistry& m = obs::metrics();
+    ShardReport& rep = fleet.result.shards[r];
+    SupervisorSummary& sup = fleet.result.supervisor;
+    if (rank_fault) {
+      ++rep.rank_faults;
+      ++sup.rank_faults;
+      m.counter("dist.supervisor.rank_faults").add();
+    } else {
+      ++rep.rank_stalls;
+      ++sup.stalls;
+      m.counter("dist.supervisor.stalls").add();
+      // The modeled detection latency.
+      fleet.clocks.advance(r, opts_.stall_deadline > 0.0
+                                  ? opts_.stall_deadline
+                                  : opts_.backoff_base);
+    }
+    fleet.queue.release(c.range, c.victim);
+
+    if (restarts_used_[r] >= opts_.max_restarts) {
+      fleet.clocks.deactivate(r);
+      rep.dead = true;
+      ++sup.dead_ranks;
+      fleet.queue.mark_dead(static_cast<int>(r));
+      m.counter("dist.supervisor.dead_ranks").add();
+      return false;
+    }
+    ++restarts_used_[r];
+    ++incarnation_[r];
+    ++rep.restarts;
+    ++sup.restarts;
+    const double backoff =
+        std::ldexp(opts_.backoff_base, restarts_used_[r] - 1);
+    fleet.clocks.advance(r, backoff);
+    rep.backoff_cycles += backoff;
+    sup.backoff_cycles += backoff;
+    m.counter("dist.supervisor.restarts").add();
+    m.counter("dist.supervisor.backoff_cycles")
+        .add(static_cast<std::uint64_t>(backoff));
+    obs::ScopedItem obs_lane(static_cast<int>(r), obs::kNoIndex, 0);
+    obs::Span restart_span(obs::tracer_if_enabled(), "restart", "dist",
+                           fleet.test.name() + " rank " + std::to_string(r) +
+                               " incarnation " +
+                               std::to_string(incarnation_[r]));
+    // Fresh incarnation: the anchor memo and warm object cache are
+    // process state the death lost.
+    fleet.restart(r);
+    return false;
   }
-  const std::vector<std::size_t>& idx = placement.rank_indices[r];
-  if (idx.empty()) return comm.range(static_cast<int>(r), space_size);
-  return ShardRange{idx.front(), idx.back() + 1};
-}
+
+  void finish(ClaimFleet& fleet,
+              const std::vector<std::size_t>& unwritten) override {
+    SupervisorSummary& sup = fleet.result.supervisor;
+    sup.enabled = true;
+    sup.restart_budget = opts_.max_restarts;
+    sup.allow_partial = opts_.allow_partial;
+    sup.fleet_cycles = fleet.clocks.max_clock();
+    if (unwritten.empty()) return;
+    if (!opts_.allow_partial) {
+      throw FleetAbort(
+          "fleet supervisor: " + std::to_string(unwritten.size()) +
+          " cell(s) unrecoverable (every rank exhausted its restart budget "
+          "of " + std::to_string(opts_.max_restarts) +
+          "); re-run with --allow-partial to record them as degraded");
+    }
+    for (std::size_t g : unwritten) {
+      core::CompilationOutcome& o = fleet.result.study.outcomes[g];
+      o.comp = fleet.space[g];
+      o.status = core::OutcomeStatus::Degraded;
+      o.attempts = 0;
+      o.reason =
+          "fleet supervisor: no live rank left to execute this cell "
+          "(restart budget exhausted)";
+    }
+    sup.degraded_cells = unwritten.size();
+    obs::metrics().counter("dist.supervisor.degraded_cells")
+        .add(unwritten.size());
+  }
+
+ private:
+  const SupervisorOptions& opts_;
+  std::vector<int> incarnation_;    ///< the fault-decision attempt axis
+  std::vector<int> restarts_used_;  ///< against max_restarts
+};
 
 }  // namespace
 
@@ -33,11 +132,9 @@ FleetSupervisor::FleetSupervisor(const fpsem::CodeModel* model,
                                  toolchain::Compilation baseline,
                                  toolchain::Compilation speed_reference,
                                  SupervisorOptions opts)
-    : model_(model),
-      baseline_(std::move(baseline)),
-      speed_reference_(std::move(speed_reference)),
-      opts_(std::move(opts)),
-      coord_(model_, baseline_, speed_reference_, opts_.shard) {
+    : opts_(std::move(opts)),
+      coord_(model, std::move(baseline), std::move(speed_reference),
+             opts_.shard) {
   if (opts_.max_restarts < 0) {
     throw std::invalid_argument("FleetSupervisor: max_restarts must be >= 0");
   }
@@ -59,13 +156,7 @@ bool FleetSupervisor::rank_faults_armed() {
 ShardedStudy FleetSupervisor::run(
     const core::TestBase& test,
     std::span<const toolchain::Compilation> space) const {
-  if (!opts_.force_supervised && !rank_faults_armed()) {
-    // Fast path: nothing can fault a rank, so the unsupervised engine's
-    // full concurrency applies and the bytes are its bytes by
-    // construction (ShardedStudy::supervisor stays disabled).
-    return coord_.run(test, space);
-  }
-  return run_supervised(test, space, opts_.shard.resume);
+  return supervise(test, space, opts_.shard.resume);
 }
 
 ShardedStudy FleetSupervisor::resume(
@@ -75,10 +166,7 @@ ShardedStudy FleetSupervisor::resume(
     throw std::invalid_argument(
         "FleetSupervisor::resume: no shard_db_dir to resume from");
   }
-  if (!opts_.force_supervised && !rank_faults_armed()) {
-    return coord_.resume(test, space);
-  }
-  return run_supervised(test, space, /*resume_shards=*/true);
+  return supervise(test, space, /*resume_shards=*/true);
 }
 
 core::ExploreFn FleetSupervisor::explore_override() const {
@@ -88,325 +176,16 @@ core::ExploreFn FleetSupervisor::explore_override() const {
   };
 }
 
-ShardedStudy FleetSupervisor::run_supervised(
+ShardedStudy FleetSupervisor::supervise(
     const core::TestBase& test,
     std::span<const toolchain::Compilation> space, bool resume_shards) const {
-  const ShardComm comm(opts_.shard.shards);
-  const bool checkpointing = !opts_.shard.shard_db_dir.empty();
-  const Placement placement = place_space(space, opts_.shard.shards,
-                                          opts_.shard.placement,
-                                          coord_.cost_model());
-  const std::size_t nranks = placement.shards();
-  obs::MetricsRegistry& m = obs::metrics();
-
-  // The coordinator's positional claim protocol: `order` concatenates the
-  // per-rank index sets, slots are position ranges, outcomes are written
-  // straight to their global indices.  The supervised loop uses it under
-  // every steal setting -- claims are the unit of fault containment, and
-  // index-addressed outcomes make the chunking invisible in the results.
-  std::vector<std::size_t> order;
-  order.reserve(space.size());
-  std::vector<ShardRange> slots(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    slots[r].begin = order.size();
-    order.insert(order.end(), placement.rank_indices[r].begin(),
-                 placement.rank_indices[r].end());
-    slots[r].end = order.size();
+  if (!opts_.force_supervised && !rank_faults_armed()) {
+    // Nothing can fault a rank: the unhooked engine's full concurrency
+    // applies and ShardedStudy::supervisor stays disabled.
+    return coord_.run_impl(test, space, resume_shards);
   }
-
-  std::vector<ShardReport> reports(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    reports[r].rank = static_cast<int>(r);
-    reports[r].range = report_range(comm, space.size(), placement, r);
-    reports[r].owned_items = placement.rank_indices[r].size();
-    reports[r].owned_groups = placement.rank_groups[r];
-    reports[r].predicted = placement.predicted[r];
-  }
-
-  core::StudyResult merged;
-  merged.test_name = test.name();
-  merged.outcomes.resize(space.size());
-
-  // Per-rank worker state, as the stealing path keeps it -- except that a
-  // restart replaces the rank's cache and explorer (a fresh incarnation
-  // lost its process state) while the shard database and checkpoint
-  // ordinal base survive (the checkpoint file is the durable thing a
-  // restart exists to protect).
-  std::vector<std::unique_ptr<toolchain::CompilationCache>> caches(nranks);
-  std::vector<std::unique_ptr<core::SpaceExplorer>> explorers(nranks);
-  std::vector<std::unique_ptr<core::ResultsDb>> shard_dbs(nranks);
-  std::vector<std::size_t> ordinal_base(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    caches[r] = std::make_unique<toolchain::CompilationCache>();
-    explorers[r] = std::make_unique<core::SpaceExplorer>(
-        model_, baseline_, speed_reference_, opts_.shard.jobs,
-        caches[r].get());
-    if (checkpointing) {
-      shard_dbs[r] = std::make_unique<core::ResultsDb>(
-          ShardCoordinator::shard_db_path(opts_.shard.shard_db_dir,
-                                          static_cast<int>(r),
-                                          opts_.shard.shards));
-    }
-  }
-  if (checkpointing && resume_shards) {
-    // Union-seed every shard database so the (test, compilation)-keyed
-    // prefill restores a row no matter which rank checkpointed it -- the
-    // same contract as the stealing path, which reassignment depends on:
-    // a recovered claim may re-execute on any survivor.
-    std::vector<core::ResultRow> union_rows;
-    for (const auto& db : shard_dbs) {
-      union_rows.insert(union_rows.end(), db->rows().begin(),
-                        db->rows().end());
-    }
-    for (const auto& db : shard_dbs) db->merge_rows(union_rows);
-  }
-
-  StealQueue queue(slots, opts_.shard.steal_grain, opts_.shard.steal);
-
-  // Supervision state: virtual clocks in modeled cycles (the scheduler's
-  // only time source), incarnation ordinals (the fault-decision attempt
-  // axis: a restarted rank re-rolls its dice), restart budgets, and the
-  // per-position completion map the degraded pass reads.
-  VirtualClocks clocks(nranks);
-  std::vector<int> incarnation(nranks, 0);
-  std::vector<int> restarts_used(nranks, 0);
-  std::vector<char> done_pos(order.size(), 0);
-  SupervisorSummary sup;
-  sup.enabled = true;
-  sup.restart_budget = opts_.max_restarts;
-  sup.allow_partial = opts_.allow_partial;
-  const double stall_detect = opts_.stall_deadline > 0.0
-                                  ? opts_.stall_deadline
-                                  : opts_.backoff_base;
-
-  // Executes one claim on rank r's incarnation and writes the outcomes to
-  // their global indices; returns the claim's modeled-cycle cost (summed
-  // fresh-executed cycles), which is what advances the virtual clock.
-  const auto execute_claim = [&](std::size_t r, const StealQueue::Claim& c) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ShardReport& rep = reports[r];
-
-    obs::ScopedItem obs_lane(static_cast<int>(r), obs::kNoIndex, 0);
-    obs::Span claim_span(
-        obs::tracer_if_enabled(),
-        c.reassigned ? "reassign" : (c.stolen ? "steal" : "shard"), "dist",
-        test.name() + " [" + std::to_string(c.range.begin) + ", " +
-            std::to_string(c.range.end) + ")");
-    if (c.stolen) {
-      m.counter("dist.steals").add();
-      m.counter("dist.stolen_items").add(c.range.size());
-    }
-    if (c.reassigned) {
-      ++sup.reassigned_claims;
-      m.counter("dist.supervisor.reassigned_claims").add();
-      m.counter("dist.supervisor.reassigned_items").add(c.range.size());
-    }
-
-    std::vector<std::size_t> indices(
-        order.begin() + static_cast<std::ptrdiff_t>(c.range.begin),
-        order.begin() + static_cast<std::ptrdiff_t>(c.range.end));
-    std::vector<toolchain::Compilation> items;
-    items.reserve(indices.size());
-    for (std::size_t i : indices) items.push_back(space[i]);
-
-    core::ExploreOptions eo;
-    eo.retry = opts_.shard.retry;
-    eo.keep_going = opts_.shard.keep_going;
-    eo.checkpoint_batch = opts_.shard.checkpoint_batch;
-    eo.obs_shard = static_cast<int>(r);
-    eo.obs_index_base = indices.empty() ? 0 : indices.front();
-    eo.global_indices = indices;
-    std::size_t claim_prefilled = 0;
-    if (shard_dbs[r] != nullptr) {
-      eo.db = shard_dbs[r].get();
-      eo.resume = resume_shards;
-      eo.checkpoint_ordinal_base = ordinal_base[r];
-      const std::size_t batch = opts_.shard.checkpoint_batch > 0
-                                    ? opts_.shard.checkpoint_batch
-                                    : c.range.size();
-      ordinal_base[r] += (c.range.size() + batch - 1) / batch;
-      if (resume_shards) {
-        for (const toolchain::Compilation& comp : items) {
-          if (shard_dbs[r]->find(test.name(), comp.str()).has_value()) {
-            ++claim_prefilled;
-          }
-        }
-      }
-    }
-
-    core::StudyResult part = explorers[r]->explore(test, items, eo);
-    rep.failed += part.failed_count();
-    rep.retried += part.retried_count();
-    rep.prefilled += claim_prefilled;
-    rep.executed_items += c.range.size() - claim_prefilled;
-    double claim_cost = 0.0;
-    for (const core::CompilationOutcome& o : part.outcomes) {
-      if (o.ok() && o.cycles > 0.0) {
-        rep.cycles.observe(o.cycles);
-        if (o.comp != baseline_ && o.comp != speed_reference_) {
-          rep.fresh_cycles.observe(o.cycles);
-          claim_cost += o.cycles;
-        }
-      }
-    }
-    for (std::size_t k = 0; k < part.outcomes.size(); ++k) {
-      merged.outcomes[indices[k]] = std::move(part.outcomes[k]);
-      done_pos[c.range.begin + k] = 1;
-    }
-    rep.seconds += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-    return claim_cost;
-  };
-
-  // Min-virtual-clock supervised loop: the live claimable rank with the
-  // least modeled time claims next (ties -> lowest rank), exactly the
-  // coordinator's serial fleet emulation with the clock in cycles.  Every
-  // quantity the loop branches on -- claim grants, fault hashes, costs,
-  // backoff -- is deterministic, so the whole schedule is.
-  while (clocks.live() > 0) {
-    const std::size_t r = clocks.min_active_where(
-        [&](std::size_t i) { return queue.claimable(static_cast<int>(i)); });
-    if (r == nranks) break;  // no live rank can claim: drained
-    const std::optional<StealQueue::Claim> c =
-        queue.claim(static_cast<int>(r));
-    if (!c.has_value()) break;  // unreachable: claimable() just said yes
-
-    // Rank-level fault decision, hashed per (rank, incarnation, claim
-    // range): deterministic at any schedule, and a restarted incarnation
-    // re-rolls -- which is what makes recovery converge.
-    bool rank_fault = false;
-    bool rank_stall = false;
-    {
-      const core::FaultInjector::ScopedTrial trial(
-          test.name() + "|rank" + std::to_string(r), incarnation[r]);
-      const std::string key = "claim[" + std::to_string(c->range.begin) +
-                              "," + std::to_string(c->range.end) + ")";
-      const core::FaultInjector& inj = core::FaultInjector::global();
-      rank_fault = inj.should_fail(core::FaultSite::Shard, key);
-      rank_stall = !rank_fault && inj.should_fail(core::FaultSite::Stall, key);
-    }
-
-    if (!rank_fault && !rank_stall) {
-      clocks.advance(r, execute_claim(r, *c));
-      continue;
-    }
-
-    // The rank died (shard) or hung (stall) on this claim.  Death is
-    // claim-atomic -- no outcome, no checkpoint batch -- so the whole
-    // range returns to the orphan pool for any survivor (including this
-    // rank's next incarnation) to re-claim.
-    ShardReport& rep = reports[r];
-    if (rank_fault) {
-      ++rep.rank_faults;
-      ++sup.rank_faults;
-      m.counter("dist.supervisor.rank_faults").add();
-    } else {
-      ++rep.rank_stalls;
-      ++sup.stalls;
-      m.counter("dist.supervisor.stalls").add();
-      clocks.advance(r, stall_detect);  // the modeled detection latency
-    }
-    queue.release(c->range, c->victim);
-
-    if (restarts_used[r] < opts_.max_restarts) {
-      ++restarts_used[r];
-      ++incarnation[r];
-      ++rep.restarts;
-      ++sup.restarts;
-      const double backoff =
-          std::ldexp(opts_.backoff_base, restarts_used[r] - 1);
-      clocks.advance(r, backoff);
-      rep.backoff_cycles += backoff;
-      sup.backoff_cycles += backoff;
-      m.counter("dist.supervisor.restarts").add();
-      m.counter("dist.supervisor.backoff_cycles")
-          .add(static_cast<std::uint64_t>(backoff));
-      obs::ScopedItem obs_lane(static_cast<int>(r), obs::kNoIndex, 0);
-      obs::Span restart_span(obs::tracer_if_enabled(), "restart", "dist",
-                             test.name() + " rank " + std::to_string(r) +
-                                 " incarnation " +
-                                 std::to_string(incarnation[r]));
-      // Fresh incarnation: new cache and explorer (anchor memo and warm
-      // object cache are process state the death lost); the shard
-      // database and ordinal base persist.
-      caches[r] = std::make_unique<toolchain::CompilationCache>();
-      explorers[r] = std::make_unique<core::SpaceExplorer>(
-          model_, baseline_, speed_reference_, opts_.shard.jobs,
-          caches[r].get());
-    } else {
-      clocks.deactivate(r);
-      rep.dead = true;
-      ++sup.dead_ranks;
-      queue.mark_dead(static_cast<int>(r));
-      m.counter("dist.supervisor.dead_ranks").add();
-    }
-  }
-
-  // Unrecoverable remainder: positions no live rank was left to execute.
-  std::vector<std::size_t> degraded_pos;
-  for (std::size_t p = 0; p < done_pos.size(); ++p) {
-    if (done_pos[p] == 0) degraded_pos.push_back(p);
-  }
-  if (!degraded_pos.empty()) {
-    if (!opts_.allow_partial) {
-      throw FleetAbort(
-          "fleet supervisor: " + std::to_string(degraded_pos.size()) +
-          " cell(s) unrecoverable (every rank exhausted its restart budget "
-          "of " + std::to_string(opts_.max_restarts) +
-          "); re-run with --allow-partial to record them as degraded");
-    }
-    for (std::size_t p : degraded_pos) {
-      const std::size_t g = order[p];
-      core::CompilationOutcome& o = merged.outcomes[g];
-      o.comp = space[g];
-      o.status = core::OutcomeStatus::Degraded;
-      o.attempts = 0;
-      o.reason =
-          "fleet supervisor: no live rank left to execute this cell "
-          "(restart budget exhausted)";
-    }
-    sup.degraded_cells = degraded_pos.size();
-    m.counter("dist.supervisor.degraded_cells").add(degraded_pos.size());
-  }
-
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const StealQueue::RankStats st = queue.stats(static_cast<int>(r));
-    reports[r].stolen = st.stolen;
-    reports[r].donated = st.donated;
-    reports[r].steals = st.steals;
-    reports[r].reassigned = st.reassigned;
-    reports[r].cache = caches[r]->stats();
-    sup.reassigned_items += st.reassigned;
-  }
-  sup.fleet_cycles = clocks.max_clock();
-
-  ShardedStudy sharded;
-  sharded.study = std::move(merged);
-  sharded.shards = std::move(reports);
-  sharded.supervisor = sup;
-  sharded.placement.policy = placement.policy;
-  sharded.placement.contiguous = placement.contiguous;
-  sharded.placement.profiled = coord_.cost_model().has_profile();
-  sharded.placement.total_groups = placement.total_groups;
-  sharded.placement.duplicated_groups = placement.duplicated_groups;
-  sharded.placement.static_duplicated_groups =
-      placement.static_duplicated_groups;
-
-  if (placement.policy != PlacementPolicy::Static) {
-    // The coordinator's placement telemetry, kept symmetric so a
-    // supervised run is observably the same placement decision.
-    m.counter("dist.placement.runs").add();
-    m.counter("dist.placement.duplicated_groups")
-        .add(placement.duplicated_groups);
-    m.counter("dist.placement.avoided_compiles")
-        .add(placement.avoided_group_compiles());
-    m.gauge("dist.placement.groups")
-        .set(static_cast<std::int64_t>(placement.total_groups));
-  }
-
-  if (opts_.shard.db != nullptr) opts_.shard.db->record(sharded.study);
-  return sharded;
+  RankSupervision hook(opts_);
+  return coord_.run_impl(test, space, resume_shards, &hook);
 }
 
 }  // namespace flit::dist

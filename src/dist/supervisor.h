@@ -4,10 +4,11 @@
 //
 // ShardCoordinator contains *item*-level failures (a compilation crashes,
 // its outcome slot records the quarantine); FleetSupervisor makes *rank*
-// death and rank stall first-class recoverable events.  It layers over
-// the coordinator's work-stealing claim protocol: ranks pull grain-sized
-// claims from a StealQueue, and before each claim executes the supervisor
-// consults the fault injector's two rank-level sites (core/faults.h):
+// death and rank stall first-class recoverable events.  It is a hook on
+// the coordinator's one claim path (ClaimHook): a supervised run takes
+// the serial virtual-clock driver, and before each claim executes the
+// hook consults the fault injector's two rank-level sites
+// (core/faults.h):
 //
 //   * `shard` -- the rank's explore lane throws mid-claim and the rank
 //     dies.  The claim performed no durable work (death is claim-atomic:
@@ -30,25 +31,25 @@
 // orphan pool, claimable by every survivor even with stealing disabled:
 // taking over for a dead rank is recovery, not load balancing.
 //
-// Determinism: the supervised loop is the coordinator's serial
-// min-virtual-clock scheduler with the clock advanced by *modeled cycles*
-// (the summed fresh-executed cycles of each claim) instead of measured
-// seconds.  Claim schedule, fault decisions (hashed per rank incarnation
-// and claim range), restarts, backoff, and the degraded set are therefore
-// pure functions of (space, options, injector seed): the same faulted run
-// produces byte-identical merged study / CSV / converged database every
-// time.  With no rank-level site armed (and force_supervised off) run()
-// delegates to ShardCoordinator::run() outright, so unfaulted bytes are
-// trivially identical to the unsupervised engine at any policy x shards x
-// jobs x steal setting, with full shard concurrency.
+// Determinism: the serial driver's clock is the summed fresh-executed
+// modeled cycles of each rank's claims, so claim schedule, fault
+// decisions (hashed per rank incarnation and claim range), restarts,
+// backoff, and the degraded set are pure functions of (space, options,
+// injector seed): the same faulted run produces byte-identical merged
+// study / CSV / converged database every time.  With no rank-level site
+// armed (and force_supervised off) run() takes the coordinator's path
+// with no hook, so unfaulted bytes are the unsupervised engine's at any
+// policy x shards x jobs x steal setting, with full shard concurrency.
 //
-// Degraded mode: when every rank is dead and work remains, the default is
-// to throw FleetAbort.  With `allow_partial`, the unrecoverable cells are
-// instead recorded as OutcomeStatus::Degraded -- in the merged study, the
-// CSV, and the converged ResultsDb -- with full accounting in
-// shard_report_text and the dist.supervisor.* metrics.  A degraded row is
-// an infrastructure failure, not an item failure: resume paths re-run it
-// (core/resultsdb.h), so a later `--resume` converges to unfaulted bytes.
+// Degraded mode: the coordinator's per-position done map tells the hook
+// which cells no claim wrote.  When the whole fleet died with work left,
+// the default is to throw FleetAbort.  With `allow_partial`, the
+// unrecoverable cells are instead recorded as OutcomeStatus::Degraded --
+// in the merged study, the CSV, and the converged ResultsDb -- with full
+// accounting in shard_report_text and the dist.supervisor.* metrics.  A
+// degraded row is an infrastructure failure, not an item failure: resume
+// paths re-run it (core/resultsdb.h), so a later `--resume` converges to
+// unfaulted bytes.
 
 #include <span>
 #include <stdexcept>
@@ -80,9 +81,9 @@ struct SupervisorOptions {
   /// study (true), or throw FleetAbort (false, the default).
   bool allow_partial = false;
 
-  /// Run the supervised virtual-clock loop even with no rank-level fault
-  /// site armed.  The loop is serial across claims (determinism over
-  /// concurrency); tests use this to prove the supervised scheduler's
+  /// Run the supervised serial driver even with no rank-level fault site
+  /// armed.  The driver is serial across claims (determinism over
+  /// concurrency); tests use this to prove the supervised schedule's
   /// unfaulted bytes match the unsupervised engine's.
   bool force_supervised = false;
 };
@@ -105,9 +106,9 @@ class FleetSupervisor {
                   toolchain::Compilation speed_reference,
                   SupervisorOptions opts);
 
-  /// ShardCoordinator::run under supervision.  Delegates to the
-  /// unsupervised coordinator when no rank-level fault site is armed and
-  /// force_supervised is off; otherwise runs the supervised loop.
+  /// ShardCoordinator::run under supervision.  Runs the coordinator
+  /// unhooked when no rank-level fault site is armed and force_supervised
+  /// is off; otherwise hooks the supervisor into its serial driver.
   /// ShardedStudy::supervisor reports which path ran (enabled) and the
   /// full recovery accounting.
   [[nodiscard]] ShardedStudy run(
@@ -131,14 +132,11 @@ class FleetSupervisor {
   [[nodiscard]] const ShardCoordinator& coordinator() const { return coord_; }
 
  private:
-  [[nodiscard]] ShardedStudy run_supervised(
+  [[nodiscard]] ShardedStudy supervise(
       const core::TestBase& test,
       std::span<const toolchain::Compilation> space, bool resume_shards)
       const;
 
-  const fpsem::CodeModel* model_;
-  toolchain::Compilation baseline_;
-  toolchain::Compilation speed_reference_;
   SupervisorOptions opts_;
   ShardCoordinator coord_;
 };

@@ -1,17 +1,17 @@
 #pragma once
 
-// Min-virtual-clock scheduling, factored out of the fleet emulations.
+// Min-virtual-clock scheduling, shared by the serial fleet emulations.
 //
-// Three engines drive work with the same deterministic discipline: a set
-// of lanes (simulated ranks, or the study service's fleet slots) each
+// Two engines drive work with the same deterministic discipline: a set of
+// lanes (simulated ranks, or the study service's fleet slots) each
 // carries a virtual clock, and the next unit of work goes to the active
 // lane with the smallest clock -- the worker that would go idle first on
-// a real concurrent fleet.  ShardCoordinator's serial stealing path uses
-// measured wall seconds as the clock (fleet timing), FleetSupervisor uses
-// modeled cycles (so fault schedules are reproducible), and the study
-// service multiplexes whole tenant studies over its fleet lanes the same
-// way.  The policy is identical in all three; only the cost unit differs,
-// so the clock set itself is unit-agnostic.
+// a real concurrent fleet.  ShardCoordinator's serial claim driver
+// (`serial_shards`, one-shard runs and every FleetSupervisor run) clocks
+// each rank in modeled fresh cycles, so claim schedules, steals and fault
+// decisions are reproducible; the study service multiplexes whole tenant
+// studies over its fleet lanes the same way.  The clock set itself is
+// unit-agnostic.
 //
 // Determinism: selection is a pure function of the clock values and the
 // activity flags (ties break to the lowest lane), so identical cost
@@ -27,33 +27,14 @@ namespace flit::dist {
 class VirtualClocks {
  public:
   explicit VirtualClocks(std::size_t lanes)
-      : clock_(lanes, 0.0), active_(lanes, 1), live_(lanes) {}
+      : clock_(lanes, 0.0), active_(lanes, 1) {}
 
   [[nodiscard]] std::size_t size() const { return clock_.size(); }
 
-  /// Lanes still eligible for selection.
-  [[nodiscard]] std::size_t live() const { return live_; }
-  [[nodiscard]] bool active(std::size_t lane) const {
-    return active_[lane] != 0;
-  }
+  /// Permanently removes a lane from selection: it died.
+  void deactivate(std::size_t lane) { active_[lane] = 0; }
 
-  /// Permanently (until reactivate) removes a lane from selection: it has
-  /// drained its work, or died.
-  void deactivate(std::size_t lane) {
-    if (active_[lane] != 0) {
-      active_[lane] = 0;
-      --live_;
-    }
-  }
-  void reactivate(std::size_t lane) {
-    if (active_[lane] == 0) {
-      active_[lane] = 1;
-      ++live_;
-    }
-  }
-
-  /// Charges `cost` (seconds, modeled cycles -- the caller's unit) to a
-  /// lane's clock.
+  /// Charges `cost` (in the caller's unit) to a lane's clock.
   void advance(std::size_t lane, double cost) { clock_[lane] += cost; }
 
   [[nodiscard]] double clock(std::size_t lane) const { return clock_[lane]; }
@@ -87,7 +68,6 @@ class VirtualClocks {
  private:
   std::vector<double> clock_;
   std::vector<char> active_;
-  std::size_t live_ = 0;
 };
 
 }  // namespace flit::dist

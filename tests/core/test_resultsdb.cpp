@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -280,6 +281,82 @@ TEST_F(ResultsDbTest, LoadsPreStatusV1Databases) {
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "test\tcompilation\tspeedup\tvariability\tstatus\treason");
+}
+
+/// The error loading `path` raises, or "" when the database loads.
+std::string load_error(const fs::path& path) {
+  try {
+    ResultsDb db(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(ResultsDbTest, DuplicateKeyIsRejectedNamingBothLines) {
+  // Two rows for one (test, compilation) key with conflicting values:
+  // find() would answer from the first and the sharded resume's
+  // merge_rows() from the last, so the file has no single meaning.
+  {
+    std::ofstream out(path_);
+    out << "test\tcompilation\tspeedup\tvariability\tstatus\treason\n"
+        << "T1\tg++ -O2\t1.5\t0\tok\t\n"
+        << "T1\ticpc -O3\t2\t1e-12\tok\t\n"
+        << "T1\tg++ -O2\t9\t0\tok\t\n"
+        << "T2\tg++ -O2\t1\t0\tok\t\n";
+  }
+  const std::string err = load_error(path_);
+  EXPECT_NE(err.find("duplicate row for (T1, g++ -O2) at lines 2 and 4"),
+            std::string::npos)
+      << err;
+
+  // As the trailing row it is still an error: a crash mid-append leaves a
+  // truncated row, never a well-formed second copy.
+  {
+    std::ofstream out(path_, std::ios::trunc);
+    out << "test\tcompilation\tspeedup\tvariability\tstatus\treason\n"
+        << "T1\tg++ -O2\t1.5\t0\tok\t\n"
+        << "T1\tg++ -O2\t9\t0\tok\t\n";
+  }
+  EXPECT_NE(load_error(path_).find("at lines 2 and 3"), std::string::npos);
+}
+
+TEST_F(ResultsDbTest, SurplusFieldIsMalformedAndNamesTheLine) {
+  // A row whose newline was lost: the next row would fold into `reason`,
+  // TABs included, and a save would write those TABs as spaces.
+  {
+    std::ofstream out(path_);
+    out << "test\tcompilation\tspeedup\tvariability\tstatus\treason\n"
+        << "T1\tg++ -O2\t1.5\t0\tok\t\n"
+        << "T1\ticpc -O3\t2\t1e-12\tok\tT1\tclang++ -O3\t1\t0\tok\t\n"
+        << "T2\tg++ -O2\t1\t0\tok\t\n";
+  }
+  EXPECT_NE(load_error(path_).find("malformed row at line 3 of"),
+            std::string::npos);
+
+  // The pre-status v1 header is four fields wide, exactly.
+  {
+    std::ofstream out(path_, std::ios::trunc);
+    out << "test\tcompilation\tspeedup\tvariability\n"
+        << "T1\tg++ -O2\t1.5\t0\textra\n"
+        << "T1\ticpc -O3\t2\t1e-12\n";
+  }
+  EXPECT_NE(load_error(path_).find("malformed row at line 2 of"),
+            std::string::npos);
+}
+
+TEST_F(ResultsDbTest, SurplusFieldInTrailingRowIsDropped) {
+  {
+    ResultsDb db(path_);
+    db.record(study("T1", 1.0, 0.0L));
+  }
+  {
+    std::ofstream out(path_, std::ios::app);
+    out << "T1\tclang++ -O3\t1.5\t0\tok\tfirst\tsecond\n";
+  }
+  ResultsDb db(path_);  // the malformed-trailing-row policy: must not throw
+  EXPECT_EQ(db.size(), 2u);
+  EXPECT_FALSE(db.find("T1", "clang++ -O3").has_value());
 }
 
 TEST_F(ResultsDbTest, SaveLeavesNoTemporaryBehind) {

@@ -1,15 +1,12 @@
-// Unit: the typed scatter/gather substrate.  ShardComm inherits the
-// DeterministicComm partition contract verbatim; scatter must slice and
-// gather_ordered must reassemble by global index -- exact inverses at any
-// rank/item-count combination, including empty ranges -- and a shard
-// vector that disagrees with the partition must be rejected, never
-// silently misplaced.  StealQueue must grant disjoint contiguous claims
-// that jointly cover the space exactly once, prefer own work, steal from
-// the most-loaded started slot, and keep exact stolen/donated accounting.
+// Unit: the claim protocol.  ShardComm inherits the DeterministicComm
+// partition contract verbatim: contiguous ranges that cover the space at
+// any rank/item-count combination, including empty ranges.  StealQueue
+// must grant disjoint contiguous claims that jointly cover the space
+// exactly once, prefer own work, steal from the most-loaded started slot,
+// and keep exact stolen/donated accounting.
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -60,124 +57,6 @@ TEST(ShardComm, ZeroItemsYieldsAllEmptyRanges) {
     EXPECT_EQ(rg.size(), 0u);
     EXPECT_EQ(rg.begin, 0u);
   }
-}
-
-TEST(ShardComm, GatherOrderedInvertsScatter) {
-  for (int nranks : {1, 2, 3, 7, 16}) {
-    for (std::size_t n : {0u, 1u, 5u, 16u, 23u}) {
-      const ShardComm comm(nranks);
-      std::vector<int> items(n);
-      std::iota(items.begin(), items.end(), 100);
-      const auto gathered =
-          comm.gather_ordered(n, comm.scatter(std::span<const int>(items)));
-      EXPECT_EQ(gathered, items) << nranks << " ranks, " << n << " items";
-    }
-  }
-}
-
-TEST(ShardComm, GatherOrderedPlacesByGlobalIndex) {
-  const ShardComm comm(3);
-  // 7 = 3*2 + 1: rank 0 owns [0,3), rank 1 [3,5), rank 2 [5,7).
-  std::vector<std::vector<std::string>> shards{
-      {"a0", "a1", "a2"}, {"b3", "b4"}, {"c5", "c6"}};
-  const auto out = comm.gather_ordered(std::size_t{7}, std::move(shards));
-  const std::vector<std::string> expected{"a0", "a1", "a2", "b3",
-                                          "b4", "c5", "c6"};
-  EXPECT_EQ(out, expected);
-}
-
-TEST(ShardComm, GatherOrderedRejectsMismatchedShardCounts) {
-  const ShardComm comm(3);
-  std::vector<std::vector<int>> two_shards{{1, 2}, {3, 4}};
-  EXPECT_THROW(
-      (void)comm.gather_ordered(std::size_t{4}, std::move(two_shards)),
-      std::invalid_argument);
-}
-
-TEST(ShardComm, GatherOrderedRejectsMismatchedShardSizes) {
-  const ShardComm comm(2);
-  // Rank 0 owns [0,3) of 6 items but claims 2 elements.
-  std::vector<std::vector<int>> shards{{1, 2}, {3, 4, 5, 6}};
-  EXPECT_THROW((void)comm.gather_ordered(std::size_t{6}, std::move(shards)),
-               std::invalid_argument);
-}
-
-// ---- gather_indexed -------------------------------------------------------
-
-TEST(ShardComm, GatherIndexedReassemblesAPermutedPartition) {
-  const ShardComm comm(3);
-  // A deliberately non-contiguous ownership: round-robin by index.
-  const std::vector<std::vector<std::size_t>> owners{
-      {0, 3, 6}, {1, 4, 7}, {2, 5}};
-  std::vector<std::vector<int>> shards(3);
-  for (std::size_t r = 0; r < owners.size(); ++r) {
-    for (std::size_t i : owners[r]) {
-      shards[r].push_back(static_cast<int>(100 + i));
-    }
-  }
-  const auto gathered =
-      comm.gather_indexed(std::size_t{8}, owners, std::move(shards));
-  ASSERT_EQ(gathered.size(), 8u);
-  for (std::size_t i = 0; i < gathered.size(); ++i) {
-    EXPECT_EQ(gathered[i], static_cast<int>(100 + i)) << i;
-  }
-}
-
-TEST(ShardComm, GatherIndexedMatchesGatherOrderedOnContiguousRanges) {
-  const ShardComm comm(3);
-  const std::size_t n = 7;
-  std::vector<std::vector<std::size_t>> owners(3);
-  const auto ranges = comm.scatter_ranges(n);
-  for (std::size_t r = 0; r < ranges.size(); ++r) {
-    for (std::size_t i = ranges[r].begin; i < ranges[r].end; ++i) {
-      owners[r].push_back(i);
-    }
-  }
-  std::vector<int> items(n);
-  std::iota(items.begin(), items.end(), 42);
-  const auto shards = comm.scatter(std::span<const int>(items));
-  EXPECT_EQ(comm.gather_indexed(n, owners, shards), items);
-}
-
-TEST(ShardComm, GatherIndexedRejectsDoubleOwnership) {
-  const ShardComm comm(2);
-  const std::vector<std::vector<std::size_t>> owners{{0, 1}, {1, 2}};
-  std::vector<std::vector<int>> shards{{10, 11}, {11, 12}};
-  EXPECT_THROW(
-      (void)comm.gather_indexed(std::size_t{3}, owners, std::move(shards)),
-      std::invalid_argument);
-}
-
-TEST(ShardComm, GatherIndexedRejectsUncoveredIndices) {
-  const ShardComm comm(2);
-  const std::vector<std::vector<std::size_t>> owners{{0}, {2}};  // 1 orphaned
-  std::vector<std::vector<int>> shards{{10}, {12}};
-  EXPECT_THROW(
-      (void)comm.gather_indexed(std::size_t{3}, owners, std::move(shards)),
-      std::invalid_argument);
-}
-
-TEST(ShardComm, GatherIndexedRejectsOutOfSpaceIndices) {
-  const ShardComm comm(2);
-  const std::vector<std::vector<std::size_t>> owners{{0, 1}, {5}};
-  std::vector<std::vector<int>> shards{{10, 11}, {15}};
-  EXPECT_THROW(
-      (void)comm.gather_indexed(std::size_t{3}, owners, std::move(shards)),
-      std::invalid_argument);
-}
-
-TEST(ShardComm, GatherIndexedRejectsShardAndOwnerSizeMismatches) {
-  const ShardComm comm(2);
-  const std::vector<std::vector<std::size_t>> owners{{0, 1}, {2}};
-  std::vector<std::vector<int>> short_shard{{10}, {12}};
-  EXPECT_THROW((void)comm.gather_indexed(std::size_t{3}, owners,
-                                         std::move(short_shard)),
-               std::invalid_argument);
-  const std::vector<std::vector<std::size_t>> one_owner{{0, 1, 2}};
-  std::vector<std::vector<int>> shards{{10, 11}, {12}};
-  EXPECT_THROW((void)comm.gather_indexed(std::size_t{3}, one_owner,
-                                         std::move(shards)),
-               std::invalid_argument);
 }
 
 // ---- StealQueue -----------------------------------------------------------
@@ -270,6 +149,31 @@ TEST(StealQueue, UnstartedSlotsAreNotStealable) {
   EXPECT_TRUE(q.drained());
   EXPECT_EQ(q.stats(2).claims, 0u);
   EXPECT_EQ(q.stats(3).claims, 0u);
+}
+
+TEST(StealQueue, DoneForIsWhenNothingCanBecomeClaimableForTheRank) {
+  const ShardComm comm(2);
+  // Stealing off: a rank is done as soon as its own slot is empty, even
+  // while the other slot still holds work it may never take.
+  StealQueue fixed(comm.scatter_ranges(4), 2, /*steal_enabled=*/false);
+  EXPECT_FALSE(fixed.done_for(0));
+  ASSERT_TRUE(fixed.claim(0).has_value());
+  EXPECT_TRUE(fixed.done_for(0));
+  EXPECT_FALSE(fixed.done_for(1));
+  // ...unless a failed rank's work is orphaned, which anyone may take.
+  fixed.release({0, 2}, 0);
+  EXPECT_FALSE(fixed.done_for(0));
+
+  // Stealing on: an idle thief is not done while any slot holds work,
+  // started or not -- an un-started slot becomes stealable once its
+  // owner claims.
+  StealQueue stealing(comm.scatter_ranges(4), 2);
+  ASSERT_TRUE(stealing.claim(0).has_value());
+  EXPECT_FALSE(stealing.claim(0).has_value());  // slot 1 not started yet
+  EXPECT_FALSE(stealing.done_for(0));
+  ASSERT_TRUE(stealing.claim(1).has_value());
+  EXPECT_TRUE(stealing.done_for(0));
+  EXPECT_TRUE(stealing.done_for(1));
 }
 
 TEST(StealQueue, GrainIsClampedToAtLeastOne) {

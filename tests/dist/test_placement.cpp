@@ -491,4 +491,83 @@ TEST_F(PlacementStudyTest, ResumeStitchesAcrossAPolicyChange) {
   }
 }
 
+/// One schedule of the skewed-fleet workload, summed over its examples.
+struct SkewedFleet {
+  std::vector<core::StudyResult> studies;
+  double max_shard_fresh_cycles = 0.0;
+  std::size_t stolen = 0;
+  toolchain::CacheStats cache;
+};
+
+SkewedFleet run_skewed_fleet(const std::vector<Compilation>& space,
+                             bool steal, PlacementPolicy policy,
+                             const CostProfile* profile) {
+  dist::ShardOptions opts;
+  opts.shards = 4;
+  opts.serial_shards = true;  // the deterministic modeled-cycle schedule
+  opts.steal = steal;
+  opts.placement = policy;
+  if (profile != nullptr) opts.profile = *profile;
+  const auto coord = make_coordinator(opts);
+  SkewedFleet fleet;
+  for (int ex = 1; ex <= 3; ++ex) {
+    mfemini::MfemExampleTest test(ex);
+    dist::ShardedStudy s = coord.run(test, space);
+    fleet.max_shard_fresh_cycles += s.max_shard_fresh_cycles();
+    for (const auto& rep : s.shards) fleet.stolen += rep.stolen;
+    fleet.cache += s.aggregate_cache();
+    fleet.studies.push_back(std::move(s.study));
+  }
+  return fleet;
+}
+
+// The scheduler's balance bars on a cost-skewed fleet: three slices of
+// anchor-reused baseline copies, then the full 244-compilation study
+// space, so every fresh run sits in the last of 4 slices.  Under the
+// serial driver the fleet is clocked in modeled cycles, which makes every
+// figure below a deterministic function of the space and the schedule.
+TEST_F(PlacementStudyTest, SkewedFleetStealingBalancesAndAffinityCutsMisses) {
+  const auto tail = toolchain::mfem_study_space();
+  std::vector<Compilation> space(3 * tail.size(), toolchain::mfem_baseline());
+  space.insert(space.end(), tail.begin(), tail.end());
+
+  const SkewedFleet fixed =
+      run_skewed_fleet(space, false, PlacementPolicy::Static, nullptr);
+  const SkewedFleet stealing =
+      run_skewed_fleet(space, true, PlacementPolicy::Static, nullptr);
+  // The placed runs refine the cost model from the stealing run's first
+  // study: the --cost-profile workflow's "prior run", in-process.
+  const CostProfile profile = CostProfile::from_study(stealing.studies[0]);
+  const SkewedFleet cost =
+      run_skewed_fleet(space, true, PlacementPolicy::Cost, &profile);
+  const SkewedFleet affinity =
+      run_skewed_fleet(space, true, PlacementPolicy::Affinity, &profile);
+
+  for (const SkewedFleet* run : {&stealing, &cost, &affinity}) {
+    ASSERT_EQ(run->studies.size(), fixed.studies.size());
+    for (std::size_t i = 0; i < fixed.studies.size(); ++i) {
+      expect_identical_studies(run->studies[i], fixed.studies[i]);
+      EXPECT_EQ(core::study_csv(run->studies[i]),
+                core::study_csv(fixed.studies[i]));
+    }
+  }
+
+  // Stealing must cut the slowest shard's modeled wall, not just shuffle
+  // work.
+  EXPECT_EQ(fixed.stolen, 0u);
+  EXPECT_GT(stealing.stolen, 0u);
+  EXPECT_GE(fixed.max_shard_fresh_cycles,
+            1.5 * stealing.max_shard_fresh_cycles);
+  // The predicted placements keep that balance (stealing mops up the
+  // residue) ...
+  EXPECT_LE(cost.max_shard_fresh_cycles,
+            1.05 * stealing.max_shard_fresh_cycles);
+  EXPECT_LE(affinity.max_shard_fresh_cycles,
+            1.05 * stealing.max_shard_fresh_cycles);
+  // ... and affinity compiles each fingerprint once per fleet, not once
+  // per shard.  Memo hits skip compile, so lookups fall with misses and
+  // the hit rate is not the measure; the miss count is.
+  EXPECT_LT(affinity.cache.misses, stealing.cache.misses);
+}
+
 }  // namespace

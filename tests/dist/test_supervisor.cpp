@@ -437,6 +437,65 @@ TEST_F(SupervisorTest, SupervisedCheckpointsResumeToConvergedBytes) {
   EXPECT_EQ(file_bytes(dir / "a.tsv"), file_bytes(dir / "b.tsv"));
 }
 
+// ---- recovery cost on the full study space --------------------------------
+
+/// Supervised runs of examples 1-3 over the full study space at 2
+/// shards, with the injector in whatever state the caller armed; the
+/// supervisor counters are summed across the examples.
+struct FaultedFleet {
+  std::vector<core::StudyResult> studies;
+  dist::SupervisorSummary totals;
+};
+
+FaultedFleet run_faulted_fleet(int max_restarts, bool allow_partial) {
+  const auto space = toolchain::mfem_study_space();
+  dist::SupervisorOptions opts;
+  opts.shard.shards = 2;
+  opts.max_restarts = max_restarts;
+  opts.allow_partial = allow_partial;
+  opts.force_supervised = true;  // the unfaulted baseline takes the same path
+  const auto fleet = make_supervisor(opts);
+  FaultedFleet run;
+  for (int ex = 1; ex <= 3; ++ex) {
+    mfemini::MfemExampleTest test(ex);
+    dist::ShardedStudy s = fleet.run(test, space);
+    run.totals.rank_faults += s.supervisor.rank_faults;
+    run.totals.reassigned_claims += s.supervisor.reassigned_claims;
+    run.totals.degraded_cells += s.supervisor.degraded_cells;
+    run.totals.fleet_cycles += s.supervisor.fleet_cycles;
+    run.studies.push_back(std::move(s.study));
+  }
+  return run;
+}
+
+TEST_F(SupervisorTest, RecoveryKeepsTheFleetClockWithinAQuarterOfUnfaulted) {
+  const FaultedFleet baseline = run_faulted_fleet(2, false);
+
+  // shard:0.05:3 is seed-picked to fire on this workload (the injector
+  // hashes site x seed x rank context x claim key); a generous restart
+  // budget keeps every fault recoverable.
+  FaultInjector::global().configure("shard:0.05:3");
+  const FaultedFleet recovered = run_faulted_fleet(8, false);
+  FaultInjector::global().disarm();
+  EXPECT_GT(recovered.totals.rank_faults, 0u);
+  EXPECT_GT(recovered.totals.reassigned_claims, 0u);
+  ASSERT_EQ(recovered.studies.size(), baseline.studies.size());
+  for (std::size_t i = 0; i < baseline.studies.size(); ++i) {
+    expect_identical(recovered.studies[i], baseline.studies[i]);
+  }
+  // Restart backoff and claim reassignment stay cheap in modeled cycles.
+  EXPECT_GT(baseline.totals.fleet_cycles, 0.0);
+  EXPECT_LE(recovered.totals.fleet_cycles,
+            1.25 * baseline.totals.fleet_cycles);
+
+  // Every claim roll faults and no restart is allowed: the whole fleet
+  // dies and allow_partial degrades every cell instead of aborting.
+  FaultInjector::global().configure("shard:1.0:1");
+  const FaultedFleet degraded = run_faulted_fleet(0, true);
+  EXPECT_EQ(degraded.totals.degraded_cells,
+            3 * toolchain::mfem_study_space().size());
+}
+
 // ---- option and directory validation --------------------------------------
 
 TEST_F(SupervisorTest, RejectsInvalidPolicyOptions) {

@@ -6,14 +6,21 @@
 //     one lane: variable runs per compiler, plus an FNV-1a digest over
 //     every outcome's compilation, exact variability (%La) and exact
 //     modeled cycles (%a), so no result bit or cycle can drift unseen.
+//   * Figures 5 and 6 -- read off the same study: which examples' fastest
+//     compilation is variable, which have no variable compilation, where
+//     the icpc bitwise-equal bar is missing, and the largest relative
+//     error (the values bench_fig5_fastest and bench_fig6_variability
+//     print).
 //   * Table 2 lives in test_golden_table2.cpp: its answers depend on the
 //     link set, and this binary also links LULESH.
 //   * Table 5 -- the LULESH injection campaign's verdict counts and its
 //     precision / recall.
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +69,56 @@ TEST(GoldenTable1, VariableRunsPerCompilerAndOutcomeDigest) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(toolchain::stable_hash(bytes)));
   EXPECT_EQ(std::string(buf), "33b4cf5c75d551cd");
+}
+
+TEST(GoldenFigures5And6, FastestCompilationAndLargestErrorPerExample) {
+  const auto space = toolchain::mfem_study_space();
+  const core::SpaceExplorer explorer(
+      &fpsem::global_code_model(), toolchain::mfem_baseline(),
+      toolchain::mfem_speed_reference(), /*jobs=*/1);
+
+  std::vector<int> variable_wins, no_variable, missing_icpc;
+  int max_error_example = 0;
+  long double max_error = 0.0L;
+  for (int ex = 1; ex <= mfemini::kNumExamples; ++ex) {
+    const mfemini::MfemExampleTest test(ex);
+    const core::StudyResult study = explorer.explore(test, space);
+
+    // Figure 5: the fastest bitwise-equal compilation of each compiler
+    // against the fastest variable one.
+    double best_equal = 0.0;
+    for (const char* compiler : {"clang++", "g++", "icpc"}) {
+      const core::CompilationOutcome* eq = study.fastest_equal(compiler);
+      if (eq != nullptr) {
+        best_equal = std::max(best_equal, eq->speedup);
+      } else if (std::string(compiler) == "icpc") {
+        missing_icpc.push_back(ex);
+      }
+    }
+    const core::CompilationOutcome* var = study.fastest_variable();
+    if (var == nullptr) {
+      no_variable.push_back(ex);
+    } else if (var->speedup > best_equal) {
+      variable_wins.push_back(ex);
+    }
+
+    // Figure 6: the relative errors of the variable compilations.
+    const auto stats = study.variability_stats();
+    EXPECT_EQ(stats.has_value(), var != nullptr) << test.name();
+    if (stats.has_value() && stats->max > max_error) {
+      max_error = stats->max;
+      max_error_example = ex;
+    }
+  }
+
+  // The fastest overall compilation is bitwise-equal on 13 of 19.
+  EXPECT_EQ(variable_wins, (std::vector<int>{4, 5, 8, 9, 10, 15}));
+  EXPECT_EQ(no_variable, (std::vector<int>{12, 18}));
+  EXPECT_EQ(missing_icpc, (std::vector<int>{4, 5, 9, 10, 15}));
+  EXPECT_EQ(max_error_example, 13);
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3Le", max_error);
+  EXPECT_EQ(std::string(buf), "1.495e+00");
 }
 
 TEST(GoldenTable5, LuleshInjectionVerdicts) {

@@ -153,7 +153,7 @@ int usage() {
       "                most-loaded one (default; results are identical\n"
       "                either way -- --no-steal restores the static\n"
       "                partition)\n"
-      "--steal-grain N items per steal claim (default 16); smaller grains\n"
+      "--steal-grain N items per shard claim (default 16); smaller grains\n"
       "                rebalance finer at more claim overhead\n"
       "--placement P   how the space is split across shards: 'static'\n"
       "                (contiguous index split, default), 'cost'\n"
@@ -520,9 +520,10 @@ int cmd_explore(const std::string& test_name, const ExploreArgs& args) {
     sopts.cost_profile = args.cost_profile;
     sopts.db = db.has_value() ? &*db : nullptr;
     // Sharded runs go through the fleet supervisor: with no rank-level
-    // fault site armed it delegates to the plain coordinator (identical
-    // bytes, full concurrency); with FLIT_FAULTS=shard/stall it contains
-    // rank deaths and stalls per --max-restarts / --allow-partial.
+    // fault site armed the coordinator runs without its hook (identical
+    // bytes, full concurrency); with FLIT_FAULTS=shard/stall the hook
+    // contains rank deaths and stalls per --max-restarts /
+    // --allow-partial.
     dist::SupervisorOptions vopts;
     vopts.shard = sopts;
     vopts.max_restarts = args.max_restarts;
