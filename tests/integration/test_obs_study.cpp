@@ -185,6 +185,39 @@ TEST_F(ObsStudyTest,
   }
 }
 
+TEST_F(ObsStudyTest, FullSpaceStudiesAreIdenticalWithTracingOnAndOff) {
+  // Several examples over the full space, a fresh explorer each, untraced
+  // and then traced twice: tracing leaves every outcome as it was, and the
+  // two traced runs record the same events.
+  const auto space = toolchain::mfem_study_space();
+  const auto run_all = [&](bool traced) {
+    obs::tracer().set_enabled(traced);
+    std::vector<core::StudyResult> studies;
+    {
+      obs::ScopedItem root(0, obs::kNoIndex, 0);
+      for (int ex = 1; ex <= 4; ++ex) {
+        const mfemini::MfemExampleTest test(ex);
+        studies.push_back(run_study(test, space, 1, 1));
+      }
+    }
+    auto events = obs::tracer().drain_sorted();
+    obs::tracer().set_enabled(false);
+    return std::make_pair(std::move(studies), std::move(events));
+  };
+
+  const auto [plain, no_events] = run_all(false);
+  EXPECT_TRUE(no_events.empty());
+  const auto [first, first_events] = run_all(true);
+  const auto [second, second_events] = run_all(true);
+  ASSERT_FALSE(first_events.empty());
+  EXPECT_EQ(second_events, first_events);
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    const std::string what = "MFEM_ex" + std::to_string(i + 1);
+    expect_identical_studies(first[i], plain[i], what);
+    expect_identical_studies(second[i], plain[i], what);
+  }
+}
+
 TEST_F(ObsStudyTest, MemoHitsEmitTheSpansOfTheirMiss) {
   const auto space = toolchain::mfem_study_space();
   mfemini::MfemExampleTest test(7);

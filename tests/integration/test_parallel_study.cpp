@@ -66,6 +66,25 @@ TEST(ParallelStudy, ExploreIsBitwiseIdenticalAcrossJobCounts) {
   }
 }
 
+TEST(ParallelStudy,
+     SharedExplorerIsBitwiseIdenticalAcrossJobCountsOverTheStudySpace) {
+  // Several examples through one explorer per jobs count, so its cache and
+  // execution memo carry state from one study into the next, over the
+  // full space.
+  const auto space = toolchain::mfem_study_space();
+  core::SpaceExplorer serial(&fpsem::global_code_model(),
+                             toolchain::mfem_baseline(),
+                             toolchain::mfem_speed_reference(), 1);
+  core::SpaceExplorer parallel(&fpsem::global_code_model(),
+                               toolchain::mfem_baseline(),
+                               toolchain::mfem_speed_reference(), 4);
+  for (int ex = 1; ex <= 6; ++ex) {
+    mfemini::MfemExampleTest test(ex);
+    expect_identical_studies(parallel.explore(test, space),
+                             serial.explore(test, space));
+  }
+}
+
 TEST(ParallelStudy, SharedCacheDoesNotChangeOutcomes) {
   const auto space = small_space();
   mfemini::MfemExampleTest test(1);

@@ -147,7 +147,7 @@ TEST(StudyRequestSubspace, PayloadKeyIgnoresIdentityButNotTheStudyInput) {
 
 void register_examples() {
   auto& reg = core::global_test_registry();
-  for (int ex = 1; ex <= 3; ++ex) {
+  for (int ex = 1; ex <= 8; ++ex) {
     const std::string name = "MFEM_ex" + std::to_string(ex);
     if (reg.contains(name)) continue;
     reg.add(name, [ex] {
@@ -352,6 +352,41 @@ TEST_F(ServeTest, DeduplicatedRequestsShareByteIdenticalResults) {
   // And the follower's bytes are what a solo run of its request produces.
   const SoloRun solo = solo_run(dup);
   EXPECT_EQ(file_bytes(follower.db_path), solo.db);
+}
+
+TEST_F(ServeTest, SharedCacheBeatsColdSoloStudiesWithTheirBytes) {
+  // Eight tenants' full-space studies on four lanes of one job each,
+  // against the same studies run one after another on a fresh explorer
+  // (and so a cold cache) each -- what eight one-shot CLI runs pay.  One
+  // shared cache must save compilations over per-study caches (1,001 vs
+  // 8,008 misses when written), and every tenant's CSV must equal its
+  // solo run's.
+  std::vector<StudyRequest> requests;
+  for (int ex = 1; ex <= 8; ++ex) {
+    StudyRequest req;
+    req.id = "r" + std::to_string(ex);
+    req.tenant = "tenant" + std::to_string(ex);
+    req.test = "MFEM_ex" + std::to_string(ex);
+    requests.push_back(req);
+  }
+  ServeOptions opts;
+  opts.shards = 4;
+  opts.jobs = 1;
+  const ServeReport rep = run_service(opts, requests);
+  ASSERT_EQ(rep.requests.size(), requests.size());
+
+  CacheStats solo_cache;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    core::SpaceExplorer explorer(&fpsem::global_code_model(),
+                                 toolchain::mfem_baseline(),
+                                 toolchain::mfem_speed_reference(), 1);
+    const core::StudyResult study = explorer.explore(
+        *core::global_test_registry().create(requests[i].test), space_);
+    EXPECT_EQ(rep.requests[i].csv, core::study_csv(study)) << requests[i].id;
+    solo_cache += explorer.cache().stats();
+  }
+  EXPECT_LT(rep.cache.misses, solo_cache.misses);
+  EXPECT_GT(rep.cache.hit_rate(), solo_cache.hit_rate());
 }
 
 TEST_F(ServeTest, ZeroBudgetEvictsEverythingYetStaysByteIdentical) {
