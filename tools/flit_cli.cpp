@@ -242,8 +242,9 @@ const Flag kFlags[] = {
        o.blame.shard.shards = o.serve.shards =
            parse_int(o.fleet.shard.shards, v, 1);
      },
-     "partition the work across N simulated ranks, each with its own\n"
-     "compilation cache; results are identical at any shard count"},
+     "partition the work across N simulated ranks (explore/workflow: each\n"
+     "with its own compilation cache; serve: lanes over the shared one);\n"
+     "results are identical at any shard count"},
     {"--shard-db-dir", "DIR", kExplore,
      [](Options& o, const char* v) { o.fleet.shard.shard_db_dir = v; },
      "per-shard checkpoint databases (shard-<r>-of-<N>.tsv); with\n"
@@ -252,14 +253,13 @@ const Flag kFlags[] = {
      [](Options& o, const char*) {
        o.fleet.shard.steal = o.blame.shard.steal = o.serve.steal = true;
      },
-     "rebalance by work stealing: an exhausted shard steals trailing\n"
-     "sub-ranges from the most-loaded one (default; results are identical\n"
-     "either way)"},
+     "rebalance by work stealing: an idle rank takes work from a loaded\n"
+     "one (default; results are identical either way)"},
     {"--no-steal", nullptr, kFleet,
      [](Options& o, const char*) {
        o.fleet.shard.steal = o.blame.shard.steal = o.serve.steal = false;
      },
-     "keep each shard to its own partition"},
+     "keep each rank to its own share of the work"},
     {"--steal-grain", "N", kStudy | kBlame,
      [](Options& o, const char* v) {
        o.blame.shard.grain = parse_int(o.fleet.shard.steal_grain, v, 1);
@@ -284,16 +284,12 @@ const Flag kFlags[] = {
      "prior-run results database refining the placement cost model with\n"
      "measured per-compilation costs"},
     {"--max-restarts", "N", kStudy,
-     [](Options& o, const char* v) {
-       parse_int(o.fleet.max_restarts, v, 0);
-     },
+     [](Options& o, const char* v) { parse_int(o.fleet.max_restarts, v, 0); },
      "restarts the fleet supervisor grants each shard before declaring\n"
      "it dead (default 2); supervision engages when FLIT_FAULTS arms a\n"
      "shard or stall site"},
     {"--stall-deadline", "C", kStudy,
-     [](Options& o, const char* v) {
-       parse_real(o.fleet.stall_deadline, v);
-     },
+     [](Options& o, const char* v) { parse_real(o.fleet.stall_deadline, v); },
      "modeled-cycle deadline at which a stalled shard is detected\n"
      "(default: the restart backoff unit)"},
     {"--allow-partial", nullptr, kStudy,
@@ -302,9 +298,7 @@ const Flag kFlags[] = {
      "as 'degraded' and complete the study instead of aborting; a later\n"
      "--resume re-runs them and converges to the unfaulted bytes"},
     {"--max-bisects", "N", kWorkflow,
-     [](Options& o, const char* v) {
-       parse_int(o.workflow.max_bisects, v, 0);
-     },
+     [](Options& o, const char* v) { parse_int(o.workflow.max_bisects, v, 0); },
      "cap on the Level 3 searches (0 = bisect every variable compilation;\n"
      "default 3); skipped ones are reported"},
     {"--k", "N", kWorkflow | kBlame | kBisect,
@@ -347,9 +341,7 @@ const Flag kFlags[] = {
      "shared-cache cap in approximate object bytes (0 retains nothing);\n"
      "results are identical at any budget, eviction only changes hit rates"},
     {"--max-inflight", "N", kServe,
-     [](Options& o, const char* v) {
-       parse_int(o.serve.max_inflight, v, 1);
-     },
+     [](Options& o, const char* v) { parse_int(o.serve.max_inflight, v, 1); },
      "studies multiplexed concurrently (default 4)"},
     {"--checkpoint-batch", "N", kServe,
      [](Options& o, const char* v) {
@@ -370,9 +362,9 @@ const Flag kFlags[] = {
        parse_int(o.gen.seed, v, 1);
        o.gen_enabled = true;
      },
-     "install the generated synthetic-kernel suite from seed N: one test\n"
-     "per kernel plus the aggregate 'GenSuite' test, a pure function of\n"
-     "the --gen-* flags (default seed 1; any --gen-* flag enables it)"},
+     "generate the synthetic-kernel suite from seed N, a pure function of\n"
+     "the --gen-* flags (default seed 1); any --gen-* flag installs it as\n"
+     "one test per kernel plus the aggregate 'GenSuite' test (gen prints it)"},
     {"--gen-count", "N", kGenerated,
      [](Options& o, const char* v) {
        parse_int(o.gen.count, v, 1);
@@ -837,12 +829,12 @@ int usage() {
   std::fputs("\noptions (and the commands that take them):\n", stderr);
   for (const Flag& f : kFlags) {
     std::string head = f.name;
-    if (f.metavar != nullptr) head = head + " " + f.metavar;
+    if (f.metavar != nullptr) head.append(" ").append(f.metavar);
     head.resize(std::max<std::size_t>(head.size() + 1, 22), ' ');
     const char* sep = "(";
     for (const Command& c : kCommands) {
       if ((f.commands & c.bit) == 0) continue;
-      head = head + sep + c.name;
+      head.append(sep).append(c.name);
       sep = ", ";
     }
     print_entry(head + ")", f.help);
