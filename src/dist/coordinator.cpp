@@ -3,11 +3,14 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
+#include "core/faults.h"
 #include "dist/campaign.h"
+#include "dist/vclock.h"
 #include "obs/session.h"
 #include "toolchain/compile_cache.h"
 
@@ -17,8 +20,8 @@ namespace {
 
 /// The report's per-shard range field: the exact ShardComm slice under a
 /// contiguous placement, the [min, max+1) envelope of the owned set under
-/// a permuted one (envelopes may overlap across ranks; owned_items is the
-/// authoritative count).
+/// a permuted one (envelopes may overlap across ranks; the placement's
+/// rank_indices are authoritative).
 ShardRange report_range(const ShardComm& comm, std::size_t space_size,
                         const Placement& placement, std::size_t r) {
   const std::vector<std::size_t>& idx = placement.rank_indices[r];
@@ -35,6 +38,139 @@ struct Worker {
   std::unique_ptr<core::SpaceExplorer> explorer;
   std::unique_ptr<core::ResultsDb> db;  ///< null without checkpointing
   std::size_t ordinal_base = 0;  ///< checkpoint batches already recorded
+};
+
+/// One supervised run's rank bookkeeping on the serial driver: the
+/// rank-level fault decision before each claim, release, restart with
+/// backoff or retirement, and the degraded pass once the driver stops.
+class RankSupervisor {
+ public:
+  RankSupervisor(const ShardOptions& opts, const core::TestBase& test,
+                 StealQueue& queue, VirtualClocks& clocks,
+                 ShardedStudy& result)
+      : opts_(opts),
+        test_(test),
+        queue_(queue),
+        clocks_(clocks),
+        result_(result),
+        incarnation_(static_cast<std::size_t>(opts.shards), 0),
+        restarts_used_(static_cast<std::size_t>(opts.shards), 0) {}
+
+  /// Called before rank `r` executes claim `c`.  Returns false when the
+  /// rank was lost on the claim: the claim is back in the queue, and the
+  /// rank is retired or restarted through `restart(r)`, which gives it a
+  /// fresh cache and explorer while its checkpoint database and
+  /// checkpoint-ordinal base persist.
+  template <class Restart>
+  bool admit(std::size_t r, const StealQueue::Claim& c, Restart&& restart) {
+    // Rank-level fault decision, hashed per (rank, incarnation, claim
+    // range): deterministic at any schedule, and a restarted incarnation
+    // re-rolls -- which is what makes recovery converge.
+    bool rank_fault = false;
+    bool rank_stall = false;
+    {
+      const core::FaultInjector::ScopedTrial trial(
+          test_.name() + "|rank" + std::to_string(r), incarnation_[r]);
+      const std::string key = "claim[" + std::to_string(c.range.begin) +
+                              "," + std::to_string(c.range.end) + ")";
+      const core::FaultInjector& inj = core::FaultInjector::global();
+      rank_fault = inj.should_fail(core::FaultSite::Shard, key);
+      rank_stall = !rank_fault && inj.should_fail(core::FaultSite::Stall, key);
+    }
+    if (!rank_fault && !rank_stall) return true;
+
+    // The rank died (shard) or hung (stall) on this claim.  Death is
+    // claim-atomic -- no outcome, no checkpoint batch -- so the whole
+    // range returns to the orphan pool for any survivor (including this
+    // rank's next incarnation) to re-claim.
+    obs::MetricsRegistry& m = obs::metrics();
+    ShardReport& rep = result_.shards[r];
+    SupervisorSummary& sup = result_.supervisor;
+    if (rank_fault) {
+      ++rep.rank_faults;
+      ++sup.rank_faults;
+      m.counter("dist.supervisor.rank_faults").add();
+    } else {
+      ++rep.rank_stalls;
+      ++sup.stalls;
+      m.counter("dist.supervisor.stalls").add();
+      // The modeled detection latency.
+      clocks_.advance(r, opts_.stall_deadline > 0.0 ? opts_.stall_deadline
+                                                    : opts_.backoff_base);
+    }
+    queue_.release(c.range, c.victim);
+
+    if (restarts_used_[r] >= opts_.max_restarts) {
+      clocks_.deactivate(r);
+      rep.dead = true;
+      ++sup.dead_ranks;
+      queue_.mark_dead(static_cast<int>(r));
+      m.counter("dist.supervisor.dead_ranks").add();
+      return false;
+    }
+    ++restarts_used_[r];
+    ++incarnation_[r];
+    ++rep.restarts;
+    ++sup.restarts;
+    const double backoff =
+        std::ldexp(opts_.backoff_base, restarts_used_[r] - 1);
+    clocks_.advance(r, backoff);
+    rep.backoff_cycles += backoff;
+    sup.backoff_cycles += backoff;
+    m.counter("dist.supervisor.restarts").add();
+    m.counter("dist.supervisor.backoff_cycles")
+        .add(static_cast<std::uint64_t>(backoff));
+    obs::ScopedItem obs_lane(static_cast<int>(r), obs::kNoIndex, 0);
+    obs::Span restart_span(obs::tracer_if_enabled(), "restart", "dist",
+                           test_.name() + " rank " + std::to_string(r) +
+                               " incarnation " +
+                               std::to_string(incarnation_[r]));
+    // Fresh incarnation: the anchor memo and warm object cache are
+    // process state the death lost.
+    restart(r);
+    return false;
+  }
+
+  /// Called once the driver stops, with the global indices no claim
+  /// wrote (a fleet that died with work left): degrade them under
+  /// allow_partial, else throw FleetAbort.
+  void finish(std::span<const toolchain::Compilation> space,
+              const std::vector<std::size_t>& unwritten) {
+    SupervisorSummary& sup = result_.supervisor;
+    sup.enabled = true;
+    sup.restart_budget = opts_.max_restarts;
+    sup.allow_partial = opts_.allow_partial;
+    sup.fleet_cycles = clocks_.max_clock();
+    if (unwritten.empty()) return;
+    if (!opts_.allow_partial) {
+      throw FleetAbort(
+          "fleet supervisor: " + std::to_string(unwritten.size()) +
+          " cell(s) unrecoverable (every rank exhausted its restart budget "
+          "of " + std::to_string(opts_.max_restarts) +
+          "); re-run with --allow-partial to record them as degraded");
+    }
+    for (std::size_t g : unwritten) {
+      core::CompilationOutcome& o = result_.study.outcomes[g];
+      o.comp = space[g];
+      o.status = core::OutcomeStatus::Degraded;
+      o.attempts = 0;
+      o.reason =
+          "fleet supervisor: no live rank left to execute this cell "
+          "(restart budget exhausted)";
+    }
+    sup.degraded_cells = unwritten.size();
+    obs::metrics().counter("dist.supervisor.degraded_cells")
+        .add(unwritten.size());
+  }
+
+ private:
+  const ShardOptions& opts_;
+  const core::TestBase& test_;
+  StealQueue& queue_;
+  VirtualClocks& clocks_;
+  ShardedStudy& result_;
+  std::vector<int> incarnation_;    ///< the fault-decision attempt axis
+  std::vector<int> restarts_used_;  ///< against max_restarts
 };
 
 }  // namespace
@@ -88,6 +224,16 @@ ShardCoordinator::ShardCoordinator(const fpsem::CodeModel* model,
   } else if (!opts_.profile.empty()) {
     cost_model_.set_profile(opts_.profile);
   }
+  if (opts_.max_restarts < 0) {
+    throw std::invalid_argument("ShardCoordinator: max_restarts must be >= 0");
+  }
+  if (!(opts_.backoff_base > 0.0)) {
+    throw std::invalid_argument("ShardCoordinator: backoff_base must be > 0");
+  }
+  if (opts_.stall_deadline < 0.0) {
+    throw std::invalid_argument(
+        "ShardCoordinator: stall_deadline must be >= 0");
+  }
 }
 
 std::filesystem::path ShardCoordinator::shard_db_path(
@@ -121,13 +267,15 @@ core::ExploreFn ShardCoordinator::explore_override() const {
 
 ShardedStudy ShardCoordinator::run_impl(
     const core::TestBase& test,
-    std::span<const toolchain::Compilation> space, bool resume_shards,
-    ClaimHook* hook) const {
+    std::span<const toolchain::Compilation> space,
+    bool resume_shards) const {
   const bool checkpointing = !opts_.shard_db_dir.empty();
   if (checkpointing) std::filesystem::create_directories(opts_.shard_db_dir);
 
-  const Placement placement =
+  ShardedStudy sharded;
+  sharded.placement =
       place_space(space, opts_.shards, opts_.placement, cost_model_);
+  const Placement& placement = sharded.placement;
   const std::size_t nranks = placement.shards();
   const ShardComm comm(opts_.shards);
 
@@ -139,7 +287,6 @@ ShardedStudy ShardCoordinator::run_impl(
   std::vector<std::size_t> order;
   order.reserve(space.size());
   std::vector<ShardRange> slots(nranks);
-  ShardedStudy sharded;
   sharded.shards.resize(nranks);
   for (std::size_t r = 0; r < nranks; ++r) {
     slots[r].begin = order.size();
@@ -149,9 +296,6 @@ ShardedStudy ShardCoordinator::run_impl(
     ShardReport& rep = sharded.shards[r];
     rep.rank = static_cast<int>(r);
     rep.range = report_range(comm, space.size(), placement, r);
-    rep.owned_items = placement.rank_indices[r].size();
-    rep.owned_groups = placement.rank_groups[r];
-    rep.predicted = placement.predicted[r];
   }
   sharded.study.test_name = test.name();
   sharded.study.outcomes.resize(space.size());
@@ -287,8 +431,13 @@ ShardedStudy ShardCoordinator::run_impl(
   };
 
   VirtualClocks clocks(nranks);
-  ClaimFleet fleet{test, space, queue, clocks, sharded, fresh_worker};
-  if (hook != nullptr || opts_.serial_shards || nranks == 1) {
+  const core::FaultInjector& inj = core::FaultInjector::global();
+  std::optional<RankSupervisor> supervisor;
+  if (opts_.force_supervised || inj.armed(core::FaultSite::Shard) ||
+      inj.armed(core::FaultSite::Stall)) {
+    supervisor.emplace(opts_, test, queue, clocks, sharded);
+  }
+  if (supervisor.has_value() || opts_.serial_shards || nranks == 1) {
     // Serial driver: the live claimable rank with the least modeled time
     // claims next (ties -> lowest rank), the worker that would go idle
     // first on a concurrent fleet.  Only claimable ranks are scheduled,
@@ -299,7 +448,9 @@ ShardedStudy ShardCoordinator::run_impl(
           [&](std::size_t i) { return queue.claimable(static_cast<int>(i)); });
       if (r == nranks) break;
       const StealQueue::Claim c = queue.claim(static_cast<int>(r)).value();
-      if (hook != nullptr && !hook->admit(fleet, r, c)) continue;
+      if (supervisor.has_value() && !supervisor->admit(r, c, fresh_worker)) {
+        continue;
+      }
       clocks.advance(r, execute_claim(r, c));
     }
   } else {
@@ -324,27 +475,19 @@ ShardedStudy ShardCoordinator::run_impl(
   }
 
   // Exactly-once coverage: a position no claim wrote is a fleet that died
-  // with work left (the supervisor degrades or aborts) or, unsupervised,
-  // a protocol bug.
+  // with work left (supervision degrades or aborts) or, unsupervised, a
+  // protocol bug.
   std::vector<std::size_t> unwritten;
   for (std::size_t p = 0; p < written.size(); ++p) {
     if (written[p] == 0) unwritten.push_back(order[p]);
   }
-  if (hook != nullptr) {
-    hook->finish(fleet, unwritten);
+  if (supervisor.has_value()) {
+    supervisor->finish(space, unwritten);
   } else if (!unwritten.empty()) {
     throw std::logic_error("ShardCoordinator: global index " +
                            std::to_string(unwritten.front()) +
                            " was never claimed");
   }
-
-  sharded.placement.policy = placement.policy;
-  sharded.placement.contiguous = placement.contiguous;
-  sharded.placement.profiled = cost_model_.has_profile();
-  sharded.placement.total_groups = placement.total_groups;
-  sharded.placement.duplicated_groups = placement.duplicated_groups;
-  sharded.placement.static_duplicated_groups =
-      placement.static_duplicated_groups;
 
   if (placement.policy != PlacementPolicy::Static) {
     // Placement telemetry -- strictly off the result path, and recorded

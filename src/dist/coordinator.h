@@ -30,8 +30,56 @@
 //     claims next, and each claim advances its rank's clock by the
 //     modeled fresh cycles it executed.  The claim schedule is then a pure
 //     function of the space and the options.  `serial_shards`, one-shard
-//     runs, and every FleetSupervisor run use it; the supervisor hooks in
-//     per claim (ClaimHook) to inject rank faults and recover from them.
+//     runs, and every supervised run use it.
+//
+// Rank supervision.  The explorer contains *item*-level failures (a
+// compilation crashes, its outcome slot records the quarantine); a
+// supervised run also makes *rank* death and rank stall recoverable
+// events.  A run is supervised when the fault injector arms one of its
+// two rank-level sites (core/faults.h) or `force_supervised` is set; it
+// takes the serial driver, and before each claim executes the
+// coordinator rolls the armed sites:
+//
+//   * `shard` -- the rank's explore lane throws mid-claim and the rank
+//     dies.  The claim performed no durable work (death is claim-atomic:
+//     no outcome is written, no checkpoint batch was recorded), so the
+//     whole range returns to the queue's orphan pool.
+//   * `stall` -- the rank hangs on the claim and is detected when its
+//     virtual clock passes a modeled-cycle deadline (`stall_deadline`;
+//     no wall clock anywhere).  The hung claim is likewise returned
+//     unexecuted.
+//
+// Recovery is a bounded deterministic restart policy: a faulted rank is
+// restarted up to `max_restarts` times, each restart charging an
+// exponential virtual-clock backoff (backoff_base * 2^(restart-1) modeled
+// cycles) before the rank claims again.  A restarted incarnation gets a
+// fresh CompilationCache and SpaceExplorer -- its anchor memo and warm
+// cache are lost, which is invisible in the results because runs are
+// deterministic -- but keeps its shard checkpoint database and its
+// running checkpoint-ordinal base.  A rank that exhausts the budget is
+// marked dead (StealQueue::mark_dead) and its remaining slot joins the
+// orphan pool, claimable by every survivor even with stealing disabled:
+// taking over for a dead rank is recovery, not load balancing.
+//
+// Determinism: the serial driver's clock is the summed fresh-executed
+// modeled cycles of each rank's claims, so claim schedule, fault
+// decisions (hashed per rank incarnation and claim range), restarts,
+// backoff, and the degraded set are pure functions of (space, options,
+// injector seed): the same faulted run produces byte-identical merged
+// study / CSV / converged database every time.  With no rank-level site
+// armed (and force_supervised off) nothing is rolled, so unfaulted bytes
+// are the unsupervised engine's at any policy x shards x jobs x steal
+// setting, with full shard concurrency.
+//
+// Degraded mode: the per-position done map tells the coordinator which
+// cells no claim wrote.  When the whole fleet died with work left, the
+// default is to throw FleetAbort.  With `allow_partial`, the
+// unrecoverable cells are instead recorded as OutcomeStatus::Degraded --
+// in the merged study, the CSV, and the converged ResultsDb -- with full
+// accounting in shard_report_text and the dist.supervisor.* metrics.  A
+// degraded row is an infrastructure failure, not an item failure: resume
+// paths re-run it (core/resultsdb.h), so a later `--resume` converges to
+// unfaulted bytes.
 //
 // Fault injection stays deterministic across shard counts for free: the
 // injector's trial scope is keyed by the study item's global identity
@@ -42,9 +90,9 @@
 // the same bytes an uninterrupted run produces.
 
 #include <filesystem>
-#include <functional>
 #include <span>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "core/explorer.h"
 #include "core/resultsdb.h"
@@ -52,7 +100,6 @@
 #include "dist/cost_model.h"
 #include "dist/merge.h"
 #include "dist/placement.h"
-#include "dist/vclock.h"
 
 namespace flit::dist {
 
@@ -130,23 +177,60 @@ struct ShardOptions {
   /// recorded into it after the gather, producing a file byte-identical
   /// to a single-process `explore --db` run.  Must outlive run().
   core::ResultsDb* db = nullptr;
+
+  /// Rank supervision (see "Rank supervision" above).  Restarts granted
+  /// to each rank before it is declared dead (>= 0; 0 means the first
+  /// fault kills the rank for good).
+  int max_restarts = 2;
+
+  /// Backoff unit in modeled cycles: restart k of a rank charges its
+  /// virtual clock backoff_base * 2^(k-1) cycles before it claims again
+  /// (> 0).  Purely a virtual-clock cost -- no wall-clock sleep.
+  double backoff_base = 1024.0;
+
+  /// Modeled-cycle deadline at which a stalled claim is detected (the
+  /// virtual-clock cost the rank pays before its restart backoff).  0
+  /// (the default) charges backoff_base instead, keeping detection
+  /// latency on the same scale as recovery.
+  double stall_deadline = 0.0;
+
+  /// After the restart budget is exhausted fleet-wide: record the
+  /// unrecoverable cells as OutcomeStatus::Degraded and complete the
+  /// study (true), or throw FleetAbort (false, the default).
+  bool allow_partial = false;
+
+  /// Supervise even with no rank-level fault site armed.  The supervised
+  /// driver is serial across claims (determinism over concurrency);
+  /// tests use this to prove the supervised schedule's unfaulted bytes
+  /// match the unsupervised engine's.
+  bool force_supervised = false;
 };
 
-class ClaimHook;
+/// Thrown when the fleet cannot finish the study: every rank exhausted
+/// its restart budget with work remaining and allow_partial is off.
+class FleetAbort : public std::runtime_error {
+ public:
+  explicit FleetAbort(const std::string& what) : std::runtime_error(what) {}
+};
 
 class ShardCoordinator {
  public:
   /// `baseline` / `speed_reference` are the anchor compilations of every
   /// shard's explorer (each shard re-runs them; runs are deterministic,
   /// so the redundancy is invisible in the results).  Throws
-  /// std::invalid_argument for opts.shards < 1 or jobs < 1.
+  /// std::invalid_argument for opts.shards < 1, jobs < 1, a shard_db_dir
+  /// that cannot be created or written, max_restarts < 0,
+  /// backoff_base <= 0 or stall_deadline < 0.
   ShardCoordinator(const fpsem::CodeModel* model,
                    toolchain::Compilation baseline,
                    toolchain::Compilation speed_reference, ShardOptions opts);
 
   /// Places `space` across the ranks, runs every claim, and (with
   /// `opts.db`) records the merged study.  An anchor failure in any shard
-  /// throws core::StudyAbort, as in the single-process engine.
+  /// throws core::StudyAbort, as in the single-process engine.  The run
+  /// is supervised when a rank-level fault site is armed or
+  /// force_supervised is set; ShardedStudy::supervisor reports which path
+  /// ran (enabled) and the full recovery accounting.
   [[nodiscard]] ShardedStudy run(
       const core::TestBase& test,
       std::span<const toolchain::Compilation> space) const;
@@ -176,52 +260,17 @@ class ShardCoordinator {
   [[nodiscard]] const CostModel& cost_model() const { return cost_model_; }
 
  private:
-  friend class FleetSupervisor;
-
-  /// The one claim path.  With a `hook` (FleetSupervisor's) the serial
-  /// driver runs, admitting every claim through it and handing it the
-  /// unwritten positions at the end.
+  /// The one claim path; `resume_shards` forces checkpoint prefill.
   [[nodiscard]] ShardedStudy run_impl(
       const core::TestBase& test,
-      std::span<const toolchain::Compilation> space, bool resume_shards,
-      ClaimHook* hook = nullptr) const;
+      std::span<const toolchain::Compilation> space,
+      bool resume_shards) const;
 
   const fpsem::CodeModel* model_;
   toolchain::Compilation baseline_;
   toolchain::Compilation speed_reference_;
   ShardOptions opts_;
   CostModel cost_model_;
-};
-
-/// What a ClaimHook may act on while the serial driver runs: the queue,
-/// the ranks' virtual clocks (modeled cycles), the study being assembled
-/// (outcomes, per-shard reports, supervisor summary), and `restart`,
-/// which gives a rank a fresh cache and explorer while its checkpoint
-/// database and checkpoint-ordinal base persist.
-struct ClaimFleet {
-  const core::TestBase& test;
-  std::span<const toolchain::Compilation> space;
-  StealQueue& queue;
-  VirtualClocks& clocks;
-  ShardedStudy& result;
-  std::function<void(std::size_t rank)> restart;
-};
-
-/// Per-claim rank supervision of the serial driver (dist/supervisor.h).
-class ClaimHook {
- public:
-  virtual ~ClaimHook() = default;
-
-  /// Called before rank `r` executes claim `c`.  Returns false when the
-  /// rank was lost on the claim; the hook has then returned the claim to
-  /// the queue and restarted or retired the rank.
-  virtual bool admit(ClaimFleet& fleet, std::size_t r,
-                     const StealQueue::Claim& c) = 0;
-
-  /// Called once the driver stops, with the global indices no claim
-  /// wrote (a fleet that died with work left): fill them or throw.
-  virtual void finish(ClaimFleet& fleet,
-                      const std::vector<std::size_t>& unwritten) = 0;
 };
 
 }  // namespace flit::dist

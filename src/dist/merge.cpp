@@ -43,12 +43,6 @@ obs::HistogramData ShardedStudy::aggregate_cycles() const {
   return total;
 }
 
-obs::HistogramData ShardedStudy::aggregate_fresh_cycles() const {
-  obs::HistogramData total{obs::cycle_buckets()};
-  for (const ShardReport& s : shards) total += s.fresh_cycles;
-  return total;
-}
-
 double ShardedStudy::max_shard_fresh_cycles() const {
   double worst = 0.0;
   for (const ShardReport& s : shards) {
@@ -69,8 +63,9 @@ std::string shard_report_text(const ShardedStudy& s) {
     } else {
       // A permuted placement owns an arbitrary index set; the slice
       // notation would lie, so print the owned item/group counts instead.
-      os << r.owned_items << " item(s) in " << r.owned_groups
-         << " group(s) ";
+      const auto rank = static_cast<std::size_t>(r.rank);
+      os << s.placement.rank_indices[rank].size() << " item(s) in "
+         << s.placement.rank_groups[rank] << " group(s) ";
     }
     os << r.executed() << " executed, " << r.prefilled << " resumed, "
        << r.stolen << " stolen, " << r.donated << " donated, " << r.failed

@@ -7,9 +7,9 @@
 // it is bitwise-identical to a single-rank run by construction.  What
 // each rank did -- executed vs. checkpoint-prefilled items, failures and
 // retries, compilation-cache statistics, stolen/donated work, modeled-
-// cycle skew and, under FleetSupervisor, its recovery -- is summed here
-// into per-shard reports, a placement summary, a supervisor summary, and
-// the human-readable merge report.
+// cycle skew and, in a supervised run, its recovery -- is summed here
+// into per-shard reports, a supervisor summary, and the human-readable
+// merge report, next to the placement the run used.
 
 #include <cstddef>
 #include <string>
@@ -29,7 +29,8 @@ struct ShardReport {
   ShardRange range{};         ///< global index envelope the shard owned:
                               ///< the exact slice under contiguous
                               ///< placement, [min, max+1) of the owned set
-                              ///< under a permuted one (see owned_items)
+                              ///< under a permuted one (the placement's
+                              ///< rank_indices are authoritative)
   std::size_t prefilled = 0;  ///< rows restored from the shard checkpoint
   std::size_t failed = 0;     ///< quarantined outcomes in the slice
   std::size_t retried = 0;    ///< outcomes recovered by retry
@@ -60,14 +61,6 @@ struct ShardReport {
   double backoff_cycles = 0.0;
   bool dead = false;
 
-  /// Placement accounting: items and distinct semantics-fingerprint
-  /// groups the placement assigned to this shard, and the cost model's
-  /// predicted load (the rank's LPT bin sum).  Under the legacy contiguous
-  /// partition owned_items == range.size() and the rest stay zero.
-  std::size_t owned_items = 0;
-  std::size_t owned_groups = 0;
-  double predicted = 0.0;
-
   /// Modeled-cycle distribution of the shard's *executed* ok outcomes
   /// (resumed rows carry no cycle measurement and are excluded).  All
   /// shards share cycle_buckets() bounds, so the per-shard histograms
@@ -92,26 +85,7 @@ struct ShardReport {
   }
 };
 
-/// The placement decision a sharded study ran under, summarized for the
-/// merge report.
-struct PlacementSummary {
-  PlacementPolicy policy = PlacementPolicy::Static;
-  bool contiguous = true;    ///< rank index sets were the ShardComm slices
-  bool profiled = false;     ///< the cost model carried a loaded profile
-  std::size_t total_groups = 0;
-  std::size_t duplicated_groups = 0;
-  std::size_t static_duplicated_groups = 0;
-
-  /// Fingerprint re-compilations avoided relative to the contiguous
-  /// static split (Placement::avoided_group_compiles()).
-  [[nodiscard]] std::size_t avoided_group_compiles() const {
-    return static_duplicated_groups > duplicated_groups
-               ? static_duplicated_groups - duplicated_groups
-               : 0;
-  }
-};
-
-/// Fleet-supervisor summary of a supervised run (dist/supervisor.h).
+/// Fleet-supervisor summary of a supervised run (dist/coordinator.h).
 /// `enabled` false (the default) means the run was not supervised and
 /// shard_report_text stays byte-identical to the historical format.
 struct SupervisorSummary {
@@ -137,7 +111,7 @@ struct SupervisorSummary {
 struct ShardedStudy {
   core::StudyResult study;
   std::vector<ShardReport> shards;
-  PlacementSummary placement;
+  Placement placement;  ///< the placement the run used
   SupervisorSummary supervisor;
 
   /// Sum of the per-shard cache statistics (CacheStats::operator+=) --
@@ -146,9 +120,6 @@ struct ShardedStudy {
 
   /// Sum of the per-shard cycle histograms (HistogramData::operator+=).
   [[nodiscard]] obs::HistogramData aggregate_cycles() const;
-
-  /// Sum of the per-shard fresh-cycle histograms.
-  [[nodiscard]] obs::HistogramData aggregate_fresh_cycles() const;
 
   /// The slowest shard by modeled wall-clock (summed fresh-executed
   /// cycles): the fleet's critical path in model units, comparable across

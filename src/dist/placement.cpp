@@ -95,6 +95,7 @@ Placement place_space(std::span<const toolchain::Compilation> space,
 
   Placement p;
   p.policy = policy;
+  p.profiled = model.has_profile();
   const ShardComm comm(shards);
 
   std::vector<std::uint64_t> group_of(space.size());

@@ -88,6 +88,9 @@ struct Placement {
   /// True when rank_indices are exactly the contiguous ShardComm ranges.
   bool contiguous = false;
 
+  /// True when the cost model carried a loaded profile.
+  bool profiled = false;
+
   [[nodiscard]] std::size_t shards() const { return rank_indices.size(); }
 
   /// Fingerprint re-compilations this placement avoids relative to the

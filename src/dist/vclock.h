@@ -7,7 +7,7 @@
 // carries a virtual clock, and the next unit of work goes to the active
 // lane with the smallest clock -- the worker that would go idle first on
 // a real concurrent fleet.  ShardCoordinator's serial claim driver
-// (`serial_shards`, one-shard runs and every FleetSupervisor run) clocks
+// (`serial_shards`, one-shard runs and every supervised run) clocks
 // each rank in modeled fresh cycles, so claim schedules, steals and fault
 // decisions are reproducible; the study service multiplexes whole tenant
 // studies over its fleet lanes the same way.  The clock set itself is
@@ -29,15 +29,11 @@ class VirtualClocks {
   explicit VirtualClocks(std::size_t lanes)
       : clock_(lanes, 0.0), active_(lanes, 1) {}
 
-  [[nodiscard]] std::size_t size() const { return clock_.size(); }
-
   /// Permanently removes a lane from selection: it died.
   void deactivate(std::size_t lane) { active_[lane] = 0; }
 
   /// Charges `cost` (in the caller's unit) to a lane's clock.
   void advance(std::size_t lane, double cost) { clock_[lane] += cost; }
-
-  [[nodiscard]] double clock(std::size_t lane) const { return clock_[lane]; }
 
   /// The fleet wall under this emulation: the largest clock, active or
   /// not (a dead rank's spent time still happened).
@@ -47,7 +43,7 @@ class VirtualClocks {
   }
 
   /// The active lane with the smallest clock among those satisfying
-  /// `pred` (ties -> lowest lane); size() when none qualifies.
+  /// `pred` (ties -> lowest lane); the lane count when none qualifies.
   template <class Pred>
   [[nodiscard]] std::size_t min_active_where(Pred&& pred) const {
     std::size_t best = clock_.size();

@@ -12,6 +12,7 @@
 #include "core/resultsdb.h"
 #include "core/workflow.h"
 #include "dist/vclock.h"
+#include "obs/export.h"
 #include "obs/session.h"
 #include "serve/request.h"
 
@@ -52,12 +53,15 @@ struct Execution {
   std::filesystem::path db_path;
 
   std::vector<core::CompilationOutcome> outcomes;
-  std::size_t cursor = 0;    ///< next unexecuted subspace index
-  std::size_t ordinals = 0;  ///< checkpoint ordinals consumed
-  double vclock = 0.0;       ///< modeled cycles served to this study
-  int pinned_lane = -1;      ///< steal off: the study's home lane
+  std::size_t cursor = 0;  ///< next unexecuted subspace index
+  double vclock = 0.0;     ///< modeled cycles served to this study
+  int pinned_lane = -1;    ///< steal off: the study's home lane
 
+  /// Claims executed so far; each claim records one checkpoint batch, so
+  /// this is also the checkpoint ordinals consumed.
   std::size_t batches = 0;
+  std::size_t variable = 0;  ///< variable outcomes among the first `cursor`
+  std::size_t failed = 0;    ///< failed outcomes among the first `cursor`
   toolchain::CacheStats cache_delta;
 
   [[nodiscard]] bool done() const { return cursor == subspace.size(); }
@@ -100,15 +104,6 @@ class EventStreams {
   const std::function<void(const std::string&, const std::string&)>& sink_;
   std::unordered_map<std::string, std::ofstream> streams_;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -239,14 +234,14 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
       const StudyRequest& req = requests[e.req_index];
       emit_for(e.req_index,
                "{\"event\":\"admitted\",\"request\":\"" +
-                   json_escape(req.id) + "\",\"test\":\"" +
-                   json_escape(req.test) + "\",\"mode\":\"" +
+                   obs::json_escape(req.id) + "\",\"test\":\"" +
+                   obs::json_escape(req.test) + "\",\"mode\":\"" +
                    to_string(req.mode) + "\",\"items\":" +
                    std::to_string(e.subspace.size()) + "}");
       for (const std::size_t f : e.followers) {
         emit_for(f, "{\"event\":\"deduplicated\",\"request\":\"" +
-                        json_escape(requests[f].id) + "\",\"primary\":\"" +
-                        json_escape(req.id) + "\"}");
+                        obs::json_escape(requests[f].id) + "\",\"primary\":\"" +
+                        obs::json_escape(req.id) + "\"}");
       }
       ++next_exec;
     }
@@ -266,8 +261,8 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
     rr.test = req.test;
     rr.items = e.subspace.size();
     rr.batches = e.batches;
-    rr.variable = merged.variable_count();
-    rr.failed = merged.failed_count();
+    rr.variable = e.variable;
+    rr.failed = e.failed;
     rr.cache = e.cache_delta;
     rr.csv = core::study_csv(merged);
     rr.db_path = e.db_path;
@@ -302,7 +297,7 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
     }
 
     const auto done_line = [&](const StudyRequest& r) {
-      return "{\"event\":\"done\",\"request\":\"" + json_escape(r.id) +
+      return "{\"event\":\"done\",\"request\":\"" + obs::json_escape(r.id) +
              "\",\"items\":" + std::to_string(rr.items) +
              ",\"variable\":" + std::to_string(rr.variable) +
              ",\"failed\":" + std::to_string(rr.failed) +
@@ -389,7 +384,7 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
       eo.resume = opts_.resume;
     }
     eo.checkpoint_batch = count;  // one durable checkpoint per claim
-    eo.checkpoint_ordinal_base = e.ordinals;
+    eo.checkpoint_ordinal_base = e.batches;
     eo.obs_shard = static_cast<int>(lane);
     eo.obs_index_base = first;
 
@@ -413,28 +408,25 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
       e.vclock += cost;
     }
     e.test_name = part.test_name;
+    e.variable += part.variable_count();
+    e.failed += part.failed_count();
     for (std::size_t j = 0; j < count; ++j) {
       e.outcomes[first + j] = std::move(part.outcomes[j]);
     }
     e.cursor += count;
-    e.ordinals += 1;
     e.batches += 1;
     e.cache_delta += cache_.stats() - before;
     m_claims.add();
 
-    core::StudyResult sofar;
-    sofar.outcomes.assign(e.outcomes.begin(),
-                          e.outcomes.begin() +
-                              static_cast<std::ptrdiff_t>(e.cursor));
     emit_for(e.req_index,
-             "{\"event\":\"batch\",\"request\":\"" + json_escape(req.id) +
+             "{\"event\":\"batch\",\"request\":\"" + obs::json_escape(req.id) +
                  "\",\"lane\":" + std::to_string(lane) +
                  ",\"first\":" + std::to_string(first) +
                  ",\"count\":" + std::to_string(count) +
                  ",\"done\":" + std::to_string(e.cursor) +
                  ",\"total\":" + std::to_string(e.subspace.size()) +
-                 ",\"variable\":" + std::to_string(sofar.variable_count()) +
-                 ",\"failed\":" + std::to_string(sofar.failed_count()) + "}");
+                 ",\"variable\":" + std::to_string(e.variable) +
+                 ",\"failed\":" + std::to_string(e.failed) + "}");
 
     if (e.done()) {
       finalize(e);

@@ -34,7 +34,7 @@
 #include "core/report.h"
 #include "core/resultsdb.h"
 #include "dist/comm.h"
-#include "dist/supervisor.h"
+#include "dist/coordinator.h"
 #include "mfemini/examples.h"
 #include "toolchain/compiler.h"
 
@@ -64,11 +64,11 @@ std::vector<Compilation> small_space() {
   };
 }
 
-dist::FleetSupervisor make_supervisor(dist::SupervisorOptions opts) {
-  return dist::FleetSupervisor(&fpsem::global_code_model(),
-                               toolchain::mfem_baseline(),
-                               toolchain::mfem_speed_reference(),
-                               std::move(opts));
+dist::ShardCoordinator make_supervisor(dist::ShardOptions opts) {
+  return dist::ShardCoordinator(&fpsem::global_code_model(),
+                                toolchain::mfem_baseline(),
+                                toolchain::mfem_speed_reference(),
+                                std::move(opts));
 }
 
 core::StudyResult reference_study(const core::TestBase& test,
@@ -193,12 +193,12 @@ TEST_F(SupervisorTest, ForceSupervisedUnfaultedBytesMatchReference) {
     for (const int shards : {1, 2, 4}) {
       for (const unsigned jobs : {1u, 4u}) {
         for (const bool steal : {true, false}) {
-          dist::SupervisorOptions opts;
-          opts.shard.shards = shards;
-          opts.shard.jobs = jobs;
-          opts.shard.steal = steal;
-          opts.shard.steal_grain = 2;
-          opts.shard.placement = policy;
+          dist::ShardOptions opts;
+          opts.shards = shards;
+          opts.jobs = jobs;
+          opts.steal = steal;
+          opts.steal_grain = 2;
+          opts.placement = policy;
           opts.force_supervised = true;
           const auto fleet = make_supervisor(opts);
           const dist::ShardedStudy s = fleet.run(test, space);
@@ -217,8 +217,8 @@ TEST_F(SupervisorTest, ForceSupervisedUnfaultedBytesMatchReference) {
 TEST_F(SupervisorTest, UnarmedRunDelegatesToCoordinator) {
   mfemini::MfemExampleTest test(5);
   const auto space = small_space();
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
+  dist::ShardOptions opts;
+  opts.shards = 2;
   const auto fleet = make_supervisor(opts);
   const dist::ShardedStudy s = fleet.run(test, space);
   // No rank-level site armed: the fast path ran and the report carries no
@@ -236,9 +236,9 @@ TEST_F(SupervisorTest, ShardFaultRecoveryConvergesToUnfaultedBytes) {
   const std::string ref_csv =
       core::study_csv(reference_study(test, space));
 
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
-  opts.shard.steal_grain = 2;
+  dist::ShardOptions opts;
+  opts.shards = 2;
+  opts.steal_grain = 2;
   opts.max_restarts = 8;  // ample budget: recovery must succeed
 
   FaultInjector::global().configure("shard:0.3:1");
@@ -269,9 +269,9 @@ TEST_F(SupervisorTest, StallRecoveryChargesDeadlineAndConverges) {
   const std::string ref_csv =
       core::study_csv(reference_study(test, space));
 
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
-  opts.shard.steal_grain = 2;
+  dist::ShardOptions opts;
+  opts.shards = 2;
+  opts.steal_grain = 2;
   opts.max_restarts = 8;
   opts.stall_deadline = 4096.0;
 
@@ -286,7 +286,7 @@ TEST_F(SupervisorTest, StallRecoveryChargesDeadlineAndConverges) {
   // virtual clock, so the fleet clock exceeds an unfaulted supervised
   // run's.
   FaultInjector::global().disarm();
-  dist::SupervisorOptions clean = opts;
+  dist::ShardOptions clean = opts;
   clean.force_supervised = true;
   const dist::ShardedStudy unfaulted = make_supervisor(clean).run(test, space);
   EXPECT_GT(s.supervisor.fleet_cycles, unfaulted.supervisor.fleet_cycles);
@@ -298,10 +298,10 @@ TEST_F(SupervisorTest, StealDisabledStillRecovers) {
   const std::string ref_csv =
       core::study_csv(reference_study(test, space));
 
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
-  opts.shard.steal = false;  // recovery must not depend on load balancing
-  opts.shard.steal_grain = 2;
+  dist::ShardOptions opts;
+  opts.shards = 2;
+  opts.steal = false;  // recovery must not depend on load balancing
+  opts.steal_grain = 2;
   opts.max_restarts = 8;
 
   FaultInjector::global().configure("shard:0.3:1");
@@ -310,13 +310,46 @@ TEST_F(SupervisorTest, StealDisabledStillRecovers) {
   EXPECT_EQ(core::study_csv(s.study), ref_csv);
 }
 
+TEST_F(SupervisorTest, PlainCoordinatorRunSupervisesArmedRankFaults) {
+  mfemini::MfemExampleTest test(5);
+  const auto space = small_space();
+  const fs::path dir = temp_dir();
+  fs::create_directories(dir);
+
+  // A plain coordinator, no wrapper: arming a rank-level site is what
+  // makes the run supervised.
+  const auto run_into = [&](const fs::path& db_path) {
+    core::ResultsDb db(db_path);
+    dist::ShardOptions opts;
+    opts.shards = 2;
+    opts.steal_grain = 2;
+    opts.db = &db;
+    const dist::ShardCoordinator coord(&fpsem::global_code_model(),
+                                       toolchain::mfem_baseline(),
+                                       toolchain::mfem_speed_reference(),
+                                       opts);
+    return coord.run(test, space);
+  };
+  const dist::ShardedStudy clean = run_into(dir / "clean.tsv");
+  EXPECT_FALSE(clean.supervisor.enabled);
+
+  FaultInjector::global().configure("shard:0.3:1");
+  const dist::ShardedStudy faulted = run_into(dir / "faulted.tsv");
+  EXPECT_TRUE(faulted.supervisor.enabled);
+  EXPECT_GT(faulted.supervisor.rank_faults, 0u);
+  EXPECT_GT(faulted.supervisor.restarts, 0u);
+  EXPECT_EQ(faulted.supervisor.degraded_cells, 0u);
+  expect_identical(faulted.study, clean.study);
+  EXPECT_EQ(file_bytes(dir / "faulted.tsv"), file_bytes(dir / "clean.tsv"));
+}
+
 // ---- budget exhaustion: FleetAbort and degraded mode ----------------------
 
 TEST_F(SupervisorTest, BudgetExhaustionThrowsFleetAbortByDefault) {
   mfemini::MfemExampleTest test(5);
   const auto space = small_space();
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
+  dist::ShardOptions opts;
+  opts.shards = 2;
   opts.max_restarts = 0;
   FaultInjector::global().configure("shard:1.0:1");
   const auto fleet = make_supervisor(opts);
@@ -330,11 +363,11 @@ TEST_F(SupervisorTest, AllowPartialMarksDegradedEverywhere) {
   fs::create_directories(db_path.parent_path());
   core::ResultsDb db(db_path);
 
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
+  dist::ShardOptions opts;
+  opts.shards = 2;
   opts.max_restarts = 0;
   opts.allow_partial = true;
-  opts.shard.db = &db;
+  opts.db = &db;
   FaultInjector::global().configure("shard:1.0:1");
   const dist::ShardedStudy s = make_supervisor(opts).run(test, space);
 
@@ -369,11 +402,11 @@ TEST_F(SupervisorTest, ResumeRerunsDegradedRowsAndConverges) {
   // A partially degraded database: rate 1.0, budget 0, no checkpoints.
   {
     core::ResultsDb db(dir / "study.tsv");
-    dist::SupervisorOptions opts;
-    opts.shard.shards = 2;
+    dist::ShardOptions opts;
+    opts.shards = 2;
     opts.max_restarts = 0;
     opts.allow_partial = true;
-    opts.shard.db = &db;
+    opts.db = &db;
     FaultInjector::global().configure("shard:1.0:1");
     (void)make_supervisor(opts).run(test, space);
   }
@@ -404,18 +437,18 @@ TEST_F(SupervisorTest, SupervisedCheckpointsResumeToConvergedBytes) {
   const auto space = small_space();
   const fs::path dir = temp_dir();
 
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
-  opts.shard.steal_grain = 2;
-  opts.shard.checkpoint_batch = 2;
-  opts.shard.shard_db_dir = dir / "shards";
+  dist::ShardOptions opts;
+  opts.shards = 2;
+  opts.steal_grain = 2;
+  opts.checkpoint_batch = 2;
+  opts.shard_db_dir = dir / "shards";
   opts.max_restarts = 8;
 
   // Faulted, supervised, checkpointed run writes the converged database.
   core::ResultsDb db_a(dir / "a.tsv");
   {
-    dist::SupervisorOptions o = opts;
-    o.shard.db = &db_a;
+    dist::ShardOptions o = opts;
+    o.db = &db_a;
     FaultInjector::global().configure("shard:0.3:1");
     const dist::ShardedStudy s = make_supervisor(o).run(test, space);
     EXPECT_GT(s.supervisor.rank_faults, 0u);
@@ -426,8 +459,8 @@ TEST_F(SupervisorTest, SupervisedCheckpointsResumeToConvergedBytes) {
   // prefills everything and converges to the same bytes.
   core::ResultsDb db_b(dir / "b.tsv");
   {
-    dist::SupervisorOptions o = opts;
-    o.shard.db = &db_b;
+    dist::ShardOptions o = opts;
+    o.db = &db_b;
     const dist::ShardedStudy s = make_supervisor(o).resume(test, space);
     EXPECT_FALSE(s.supervisor.enabled);
     std::size_t prefilled = 0;
@@ -449,8 +482,8 @@ struct FaultedFleet {
 
 FaultedFleet run_faulted_fleet(int max_restarts, bool allow_partial) {
   const auto space = toolchain::mfem_study_space();
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
+  dist::ShardOptions opts;
+  opts.shards = 2;
   opts.max_restarts = max_restarts;
   opts.allow_partial = allow_partial;
   opts.force_supervised = true;  // the unfaulted baseline takes the same path
@@ -499,7 +532,7 @@ TEST_F(SupervisorTest, RecoveryKeepsTheFleetClockWithinAQuarterOfUnfaulted) {
 // ---- option and directory validation --------------------------------------
 
 TEST_F(SupervisorTest, RejectsInvalidPolicyOptions) {
-  dist::SupervisorOptions opts;
+  dist::ShardOptions opts;
   opts.max_restarts = -1;
   EXPECT_THROW((void)make_supervisor(opts), std::invalid_argument);
   opts.max_restarts = 2;
@@ -518,9 +551,9 @@ TEST_F(SupervisorTest, ShardDbDirValidatedAtConstruction) {
   // message -- not a raw stream exception at the first checkpoint.
   const fs::path clash = dir / "not-a-directory";
   { std::ofstream(clash) << "occupied\n"; }
-  dist::SupervisorOptions opts;
-  opts.shard.shards = 2;
-  opts.shard.shard_db_dir = clash;
+  dist::ShardOptions opts;
+  opts.shards = 2;
+  opts.shard_db_dir = clash;
   try {
     (void)make_supervisor(opts);
     FAIL() << "unusable shard-db-dir accepted";

@@ -10,6 +10,15 @@
 #include "laghos/hydro.h"
 #include "toolchain/semantics_rules.h"
 
+namespace flit::toolchain {
+
+// gtest prints a parameter it cannot format as its raw bytes, which hold
+// the Compilation's string pointers: the ctest names would then change
+// from build to build.
+void PrintTo(const Compilation& c, std::ostream* os) { *os << c.str(); }
+
+}  // namespace flit::toolchain
+
 namespace {
 
 using namespace flit;

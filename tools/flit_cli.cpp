@@ -57,7 +57,6 @@
 #include "core/resultsdb.h"
 #include "core/workflow.h"
 #include "dist/coordinator.h"
-#include "dist/supervisor.h"
 #include "gen/generator.h"
 #include "gen/suite.h"
 #include "geom/predicates.h"
@@ -114,7 +113,7 @@ struct Options {
   std::string db;
   std::string trace_out;
   std::string metrics_out;
-  dist::SupervisorOptions fleet;  ///< explore's and workflow's engine
+  dist::ShardOptions shard;  ///< explore's and workflow's engine
   core::WorkflowOptions workflow{.max_bisects = 3, .k = 1};
   core::BisectConfig bisect;
   blame::BlameOptions blame;
@@ -224,45 +223,45 @@ const Flag kFlags[] = {
     {"--retries", "N", kStudy | kServe,
      [](Options& o, const char* v) {
        o.serve.retry.max_attempts =
-           parse_int(o.fleet.shard.retry.max_attempts, v, 1);
+           parse_int(o.shard.retry.max_attempts, v, 1);
      },
      "attempts per compilation before quarantine (default 1)"},
     {"--keep-going", nullptr, kStudy | kServe,
      [](Options& o, const char*) {
-       o.fleet.shard.keep_going = o.serve.keep_going = true;
+       o.shard.keep_going = o.serve.keep_going = true;
      },
      "record per-compilation failures and continue (default)"},
     {"--no-keep-going", nullptr, kStudy | kServe,
      [](Options& o, const char*) {
-       o.fleet.shard.keep_going = o.serve.keep_going = false;
+       o.shard.keep_going = o.serve.keep_going = false;
      },
      "abort on the first per-compilation failure"},
     {"--shards", "N", kFleet,
      [](Options& o, const char* v) {
        o.blame.shard.shards = o.serve.shards =
-           parse_int(o.fleet.shard.shards, v, 1);
+           parse_int(o.shard.shards, v, 1);
      },
      "partition the work across N simulated ranks (explore/workflow: each\n"
      "with its own compilation cache; serve: lanes over the shared one);\n"
      "results are identical at any shard count"},
     {"--shard-db-dir", "DIR", kExplore,
-     [](Options& o, const char* v) { o.fleet.shard.shard_db_dir = v; },
+     [](Options& o, const char* v) { o.shard.shard_db_dir = v; },
      "per-shard checkpoint databases (shard-<r>-of-<N>.tsv); with\n"
      "--resume, shards are prefilled from them"},
     {"--steal", nullptr, kFleet,
      [](Options& o, const char*) {
-       o.fleet.shard.steal = o.blame.shard.steal = o.serve.steal = true;
+       o.shard.steal = o.blame.shard.steal = o.serve.steal = true;
      },
      "rebalance by work stealing: an idle rank takes work from a loaded\n"
      "one (default; results are identical either way)"},
     {"--no-steal", nullptr, kFleet,
      [](Options& o, const char*) {
-       o.fleet.shard.steal = o.blame.shard.steal = o.serve.steal = false;
+       o.shard.steal = o.blame.shard.steal = o.serve.steal = false;
      },
      "keep each rank to its own share of the work"},
     {"--steal-grain", "N", kStudy | kBlame,
      [](Options& o, const char* v) {
-       o.blame.shard.grain = parse_int(o.fleet.shard.steal_grain, v, 1);
+       o.blame.shard.grain = parse_int(o.shard.steal_grain, v, 1);
      },
      "items per shard claim (default 16; blame: 4); smaller grains\n"
      "rebalance finer at more claim overhead"},
@@ -273,27 +272,27 @@ const Flag kFlags[] = {
          throw std::invalid_argument(
              std::string("expected static|cost|affinity, got '") + v + "'");
        }
-       o.fleet.shard.placement = *p;
+       o.shard.placement = *p;
      },
      "how the space is split across shards: 'static' (contiguous index\n"
      "split, default), 'cost' (predicted-cost LPT balance) or 'affinity'\n"
      "(cost balance that keeps fingerprint-equal compilations on one\n"
      "shard); results are identical under every policy"},
     {"--cost-profile", "FILE", kStudy,
-     [](Options& o, const char* v) { o.fleet.shard.cost_profile = v; },
+     [](Options& o, const char* v) { o.shard.cost_profile = v; },
      "prior-run results database refining the placement cost model with\n"
      "measured per-compilation costs"},
     {"--max-restarts", "N", kStudy,
-     [](Options& o, const char* v) { parse_int(o.fleet.max_restarts, v, 0); },
+     [](Options& o, const char* v) { parse_int(o.shard.max_restarts, v, 0); },
      "restarts the fleet supervisor grants each shard before declaring\n"
      "it dead (default 2); supervision engages when FLIT_FAULTS arms a\n"
      "shard or stall site"},
     {"--stall-deadline", "C", kStudy,
-     [](Options& o, const char* v) { parse_real(o.fleet.stall_deadline, v); },
+     [](Options& o, const char* v) { parse_real(o.shard.stall_deadline, v); },
      "modeled-cycle deadline at which a stalled shard is detected\n"
      "(default: the restart backoff unit)"},
     {"--allow-partial", nullptr, kStudy,
-     [](Options& o, const char*) { o.fleet.allow_partial = true; },
+     [](Options& o, const char*) { o.shard.allow_partial = true; },
      "once the restart budget is exhausted, record the unrecoverable cells\n"
      "as 'degraded' and complete the study instead of aborting; a later\n"
      "--resume re-runs them and converges to the unfaulted bytes"},
@@ -439,12 +438,16 @@ void telemetry_finish(const Options& o) {
 /// (args[0] is the test).
 bool parse_compilation(const std::vector<std::string>& args,
                        toolchain::Compilation* out) {
+  // One of the four specs' names; anything else, "" included, is a
+  // usage error.
   const std::string& name = args[1];
+  const toolchain::CompilerSpec* found = nullptr;
   for (const auto* spec : {&toolchain::gcc(), &toolchain::clang(),
                            &toolchain::icpc(), &toolchain::xlc()}) {
-    if (spec->name == name) out->compiler = *spec;
+    if (spec->name == name) found = spec;
   }
-  if (out->compiler.name != name) return false;
+  if (found == nullptr) return false;
+  out->compiler = *found;
   const std::string& opt = args[2];
   if (opt == "-O0") {
     out->opt = toolchain::OptLevel::O0;
@@ -481,7 +484,7 @@ int cmd_explore(Options& o) {
                  test_name.c_str());
     return 1;
   }
-  dist::ShardOptions& shard = o.fleet.shard;
+  dist::ShardOptions& shard = o.shard;
   const bool sharded = shard.shards > 1 || !shard.shard_db_dir.empty();
   if (o.resume && !sharded && o.db.empty()) {
     std::fprintf(stderr, "--resume requires --db\n");
@@ -501,14 +504,13 @@ int cmd_explore(Options& o) {
   if (sharded) {
     shard.jobs = o.jobs;
     shard.db = db.has_value() ? &*db : nullptr;
-    // Sharded runs go through the fleet supervisor: with no rank-level
-    // fault site armed the coordinator runs without its hook (identical
-    // bytes, full concurrency); with FLIT_FAULTS=shard/stall the hook
-    // contains rank deaths and stalls per --max-restarts /
-    // --allow-partial.
-    dist::FleetSupervisor fleet(&fpsem::global_code_model(),
-                                toolchain::mfem_baseline(),
-                                toolchain::mfem_speed_reference(), o.fleet);
+    // With no rank-level fault site armed the coordinator runs its
+    // pooled driver (identical bytes, full concurrency); with
+    // FLIT_FAULTS=shard/stall it supervises its ranks, containing deaths
+    // and stalls per --max-restarts / --allow-partial.
+    dist::ShardCoordinator fleet(&fpsem::global_code_model(),
+                                 toolchain::mfem_baseline(),
+                                 toolchain::mfem_speed_reference(), shard);
     const dist::ShardedStudy sharded_study =
         o.resume ? fleet.resume(*test, space) : fleet.run(*test, space);
     study = sharded_study.study;
@@ -575,17 +577,17 @@ int cmd_workflow(Options& o) {
   opts.baseline = toolchain::mfem_baseline();
   opts.speed_reference = toolchain::mfem_speed_reference();
   opts.jobs = o.jobs;
-  opts.explore.retry = o.fleet.shard.retry;
-  opts.explore.keep_going = o.fleet.shard.keep_going;
+  opts.explore.retry = o.shard.retry;
+  opts.explore.keep_going = o.shard.keep_going;
   // With --shards the Level 1/2 exploration runs on the sharded engine;
   // the merged study is bitwise-identical, so the bisect phase and report
   // are oblivious.  The coordinator outlives run_workflow's use of the
   // override.
-  std::optional<dist::FleetSupervisor> fleet;
-  if (o.fleet.shard.shards > 1) {
-    o.fleet.shard.jobs = o.jobs;
+  std::optional<dist::ShardCoordinator> fleet;
+  if (o.shard.shards > 1) {
+    o.shard.jobs = o.jobs;
     fleet.emplace(&fpsem::global_code_model(), opts.baseline,
-                  opts.speed_reference, o.fleet);
+                  opts.speed_reference, o.shard);
     opts.explore_override = fleet->explore_override();
   }
   const auto report = core::run_workflow(
