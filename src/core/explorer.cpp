@@ -148,15 +148,22 @@ RunOutput SpaceExplorer::build_link_run(
   // the calling thread's (shard, index, attempt) context.  Inert (a null
   // check) when tracing is off.
   obs::Tracer* tr = obs::tracer_if_enabled();
-  std::vector<toolchain::ObjectFile> objs;
+  // The interned objects link through a pointer line, uncopied; the
+  // linker reads `c`, not the compilation that built a shared object.
+  std::vector<toolchain::CompilationCache::ObjectPtr> objs;
   {
     obs::Span span(tr, "build", "explore", c.str());
-    objs = build_.compile_all(c);
+    objs = build_.intern_all(c);
+  }
+  std::vector<const toolchain::ObjectFile*> line;
+  line.reserve(objs.size());
+  for (const toolchain::CompilationCache::ObjectPtr& o : objs) {
+    line.push_back(o.get());
   }
   toolchain::Executable exe;
   {
     obs::Span span(tr, "link", "explore", c.str());
-    exe = linker_.link(objs, c.compiler);
+    exe = linker_.link(line, c);
   }
   obs::Span span(tr, "run", "explore", c.str());
   RunOutput out = runner_.run(test, exe);

@@ -89,6 +89,12 @@ class CodeModel {
   [[nodiscard]] std::vector<FunctionId> functions_in(
       std::string_view file) const;
 
+  /// functions_in(files()[file]), by index and without a copy.
+  [[nodiscard]] const std::vector<FunctionId>& functions_at(
+      std::size_t file) const {
+    return file_fns_.at(file);
+  }
+
   /// Exported symbol names defined in `file` -- the Symbol Bisect search
   /// space for that file.
   [[nodiscard]] std::vector<std::string> exported_symbols_of(

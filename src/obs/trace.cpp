@@ -26,9 +26,9 @@ thread_local LocalSlot tl_slot;
 
 bool trace_event_less(const TraceEvent& a, const TraceEvent& b) {
   return std::tie(a.shard, a.index, a.attempt, a.begin_tick, a.end_tick,
-                  a.name, a.phase, a.detail) <
+                  a.name, a.phase, a.detail, a.cost) <
          std::tie(b.shard, b.index, b.attempt, b.begin_tick, b.end_tick,
-                  b.name, b.phase, b.detail);
+                  b.name, b.phase, b.detail, b.cost);
 }
 
 Tracer::Tracer() : id_(g_tracer_epoch.fetch_add(1)) {}

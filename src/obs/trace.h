@@ -53,7 +53,9 @@ struct TraceEvent {
 };
 
 /// The deterministic event order: lexicographic on (shard, index, attempt,
-/// begin_tick, end_tick, name, phase, detail).
+/// begin_tick, end_tick, name, phase, detail, cost) -- every field, so
+/// events that differ only in cost (two serve requests' spans at one
+/// lane-relative index) still drain in one order.
 [[nodiscard]] bool trace_event_less(const TraceEvent& a, const TraceEvent& b);
 
 class Tracer {

@@ -29,10 +29,10 @@
 // merges of per-claim explore() calls (the work-stealing engine's
 // contract); (2) claims of one study are issued in space order, so its
 // database rows land in the same insertion order a solo run produces;
-// (3) cache hits restamp the requested compilation onto a
-// fingerprint-equal object, and fingerprint equality implies binding
-// equality -- so cache contents (shared, evicted, or cold) affect
-// cycles, never bytes.
+// (3) a cache hit hands out a fingerprint-equal interned object, which
+// is linked under the requested compilation, and fingerprint equality
+// implies binding equality -- so cache contents (shared, evicted, or
+// cold) affect cycles, never bytes.
 //
 // Every request's explorer also runs through one shared execution memo
 // (core::ProbeMemo, build keys): a (test, executable) any earlier request

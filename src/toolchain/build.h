@@ -2,8 +2,9 @@
 
 // The simulated build system: compiles model source files into object
 // files under a compilation triple, and provides the convenience "compile
-// everything" entry the FLiT runner and Bisect drivers use.
+// everything" entries the FLiT runner and Bisect drivers use.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,7 @@ namespace flit::toolchain {
 
 class BuildSystem {
  public:
-  /// `cache`, when non-null, memoizes per-file objects across semantically
+  /// `cache`, when non-null, interns per-file objects across semantically
   /// equivalent compilations; it may be shared with other BuildSystems and
   /// with other threads (CompilationCache is thread-safe).  The cache must
   /// outlive this BuildSystem.
@@ -23,15 +24,26 @@ class BuildSystem {
                        CompilationCache* cache = nullptr)
       : model_(model), cache_(cache) {}
 
-  /// Compiles one source file of the model under `c`.
-  /// `fpic` models -fPIC (Symbol Bisect recompiles with it); `injected`
-  /// marks the object as coming from the instrumented injection build.
+  /// Compiles one source file of the model under `c` into an owned copy
+  /// stamped with `c`.  `fpic` models -fPIC (Symbol Bisect recompiles
+  /// with it); `injected` marks the object as coming from the
+  /// instrumented injection build.
   [[nodiscard]] ObjectFile compile(const std::string& file,
                                    const Compilation& c, bool fpic = false,
                                    bool injected = false) const;
 
-  /// Compiles every file of the model under `c`.
+  /// Compiles every file of the model under `c`, in model file order, as
+  /// owned copies stamped with `c` (what objcopy and mixed link lines
+  /// need).
   [[nodiscard]] std::vector<ObjectFile> compile_all(
+      const Compilation& c, bool fpic = false, bool injected = false) const;
+
+  /// The interned objects of every model file under `c`, in model file
+  /// order: one fingerprint, one cache lookup for the set and a pointer
+  /// per file, with no copy.  An object's `comp` is whichever equivalent
+  /// compilation built it first, so link the line with
+  /// Linker::link(line, c).  Tallies and fault rolls match compile_all's.
+  [[nodiscard]] std::vector<CompilationCache::ObjectPtr> intern_all(
       const Compilation& c, bool fpic = false, bool injected = false) const;
 
   [[nodiscard]] const fpsem::CodeModel& model() const { return *model_; }
@@ -40,7 +52,13 @@ class BuildSystem {
   [[nodiscard]] CompilationCache* cache() const { return cache_; }
 
  private:
-  [[nodiscard]] ObjectFile compile_uncached(const std::string& file,
+  /// Interns model files [first, first + count) under `c` (built fresh
+  /// when there is no cache).
+  [[nodiscard]] std::vector<CompilationCache::ObjectPtr> intern_files(
+      const Compilation& c, bool fpic, bool injected, std::size_t first,
+      std::size_t count) const;
+
+  [[nodiscard]] ObjectFile compile_uncached(std::size_t file,
                                             const Compilation& c, bool fpic,
                                             bool injected) const;
 

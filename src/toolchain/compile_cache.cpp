@@ -57,9 +57,9 @@ std::uint64_t CompilationCache::fingerprint(const Compilation& c, bool fpic) {
   return stable_hash(material);
 }
 
-ObjectFile CompilationCache::get_or_build(
-    const std::string& file, const Compilation& c, bool fpic, bool injected,
-    const std::function<ObjectFile()>& build) {
+std::vector<CompilationCache::ObjectPtr> CompilationCache::intern(
+    const SetKey& key, std::uint64_t group, std::size_t first,
+    std::size_t count, const Builder& build) {
   // Fleet-wide counters: every cache instance (one per shard in the
   // distributed engine) feeds the same registry, so the global totals are
   // the sum the aggregate report prints.  Handles are stable across
@@ -67,42 +67,53 @@ ObjectFile CompilationCache::get_or_build(
   static obs::Counter& obs_hits = obs::metrics().counter("cache.hits");
   static obs::Counter& obs_misses = obs::metrics().counter("cache.misses");
 
-  const Key key{file, fingerprint(c, fpic), fpic, injected};
-  const std::uint64_t group = semantics_group(c);
-  {
-    std::lock_guard lock(mu_);
-    if (auto it = entries_.find(key); it != entries_.end()) {
+  std::vector<ObjectPtr> out;
+  out.reserve(count);
+  std::uint64_t hits = 0;
+  std::unique_lock lock(mu_);
+  auto set = sets_.find(key);
+  for (std::size_t file = first; file < first + count; ++file) {
+    if (set != sets_.end() && file < set->second.slots.size() &&
+        set->second.slots[file].obj != nullptr) {
       ++stats_.hits;
-      obs_hits.add();
-      touch_group_locked(group);
-      ObjectFile obj = it->second.obj;
-      obj.comp = c;  // the hazard predicates hash the raw triple
-      return obj;
+      ++hits;
+      // Refreshing the most recent group again is a no-op; skip its
+      // lookup (a run of hits refreshes one group once).
+      if (lru_.empty() || lru_.back() != group) touch_group_locked(group);
+      out.push_back(set->second.slots[file].obj);
+      continue;
     }
-  }
-  // Build outside the lock: compilations are the expensive part and two
-  // threads racing to build the same key is rarer than serializing every
-  // builder behind one mutex.
-  ObjectFile built = build();
-  std::lock_guard lock(mu_);
-  ++stats_.misses;
-  obs_misses.add();
-  auto [it, inserted] = entries_.try_emplace(key, Entry{built, group, 0});
-  if (inserted) {
-    const std::uint64_t bytes = approx_object_bytes(built);
-    it->second.bytes = bytes;
-    stats_.inserted_bytes += bytes;
-    resident_bytes_ += bytes;
+    // Build outside the lock: compilations are the expensive part and two
+    // threads racing to build the same key is rarer than serializing every
+    // builder behind one mutex.
+    lock.unlock();
+    auto built = std::make_shared<const ObjectFile>(build(file));
+    lock.lock();
+    ++stats_.misses;
+    obs_misses.add();
+    // The set may be new, and clear() may have run while the lock was
+    // released, so look it up again.
+    set = sets_.try_emplace(key).first;
+    std::vector<Slot>& slots = set->second.slots;
+    if (slots.size() <= file) slots.resize(file + 1);
+    Slot& slot = slots[file];
     touch_group_locked(group);
-    groups_[group].keys.push_back(key);
-    groups_[group].bytes += bytes;
+    if (slot.obj != nullptr) {
+      out.push_back(slot.obj);  // another thread won the race
+      continue;
+    }
+    slot.obj = built;
+    slot.bytes = approx_object_bytes(*built);
+    ++resident_entries_;
+    stats_.inserted_bytes += slot.bytes;
+    resident_bytes_ += slot.bytes;
+    groups_[group].slots.emplace_back(&set->second, file);
+    out.push_back(std::move(built));
     evict_to_budget_locked();
-    return built;
   }
-  touch_group_locked(group);
-  ObjectFile obj = it->second.obj;  // another thread won the race
-  obj.comp = c;
-  return obj;
+  lock.unlock();
+  obs_hits.add(hits);
+  return out;
 }
 
 CompilationCache::Stats CompilationCache::stats() const {
@@ -112,8 +123,9 @@ CompilationCache::Stats CompilationCache::stats() const {
 
 void CompilationCache::clear() {
   std::lock_guard lock(mu_);
-  evicted_counter().add(entries_.size());
-  entries_.clear();
+  evicted_counter().add(resident_entries_);
+  sets_.clear();
+  resident_entries_ = 0;
   groups_.clear();
   lru_.clear();
   resident_bytes_ = 0;
@@ -138,7 +150,7 @@ std::uint64_t CompilationCache::resident_bytes() const {
 
 std::size_t CompilationCache::resident_entries() const {
   std::lock_guard lock(mu_);
-  return entries_.size();
+  return resident_entries_;
 }
 
 void CompilationCache::touch_group_locked(std::uint64_t group) {
@@ -163,23 +175,27 @@ void CompilationCache::evict_to_budget_locked() {
   while (resident_bytes_ > *budget_ && !lru_.empty()) {
     const std::uint64_t victim = lru_.front();
     auto git = groups_.find(victim);
-    for (const Key& key : git->second.keys) {
-      auto it = entries_.find(key);
-      if (it == entries_.end()) continue;
+    for (const auto& [set, file] : git->second.slots) {
+      Slot& slot = set->slots[file];
+      if (slot.obj == nullptr) continue;
       ++stats_.evictions;
       evicted_counter().add();
-      stats_.evicted_bytes += it->second.bytes;
-      resident_bytes_ -= it->second.bytes;
-      entries_.erase(it);
+      stats_.evicted_bytes += slot.bytes;
+      resident_bytes_ -= slot.bytes;
+      --resident_entries_;
+      slot.obj.reset();  // holders of the object keep it alive
     }
     lru_.pop_front();
     groups_.erase(git);
   }
 }
 
-std::size_t CompilationCache::KeyHash::operator()(const Key& k) const {
-  std::uint64_t h = stable_hash(k.file);
-  h ^= k.fingerprint + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+std::size_t CompilationCache::SetKeyHash::operator()(const SetKey& k) const {
+  // The fingerprint is already a well-mixed 64-bit hash; fold in the
+  // model's address and the two mode bits.
+  std::uint64_t h = k.fingerprint;
+  h ^= static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(k.model)) +
+       0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   h ^= (static_cast<std::uint64_t>(k.fpic) << 1 |
         static_cast<std::uint64_t>(k.injected)) +
        0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);

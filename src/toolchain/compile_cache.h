@@ -1,6 +1,6 @@
 #pragma once
 
-// A shared, thread-safe memo of per-file compilations.
+// A shared, thread-safe store of interned per-file compilations.
 //
 // The derivation rules collapse many (compiler, -O, switches) triples onto
 // the same per-file floating-point semantics and cost -- inert flags,
@@ -11,10 +11,22 @@
 // derive_semantics(c) and derive_cost(c) (plus, for -fPIC objects, the
 // canonical compilation string, because the -fPIC inlining-loss predicate
 // is seeded by it).  Two compilations with equal fingerprints produce
-// byte-for-byte identical bindings, so a hit only has to restamp the
-// requested Compilation onto the cached object -- the raw `comp` field
-// still matters downstream (ABI-hazard predicates hash it), which is why
-// the Compilation itself cannot be the key *or* be cached.
+// byte-for-byte identical bindings, so every compilation of a fingerprint
+// can share one object.
+//
+// Objects are interned: the cache holds one immutable
+// `shared_ptr<const ObjectFile>` per (model file, fingerprint, fpic,
+// injected), built once on the first miss and handed out by pointer on
+// every hit.  The entries of one fingerprint form one set, indexed by the
+// model's file index, so a whole-program compile is one fingerprint, one
+// set lookup and a pointer per file -- no file-name string is hashed.  An
+// interned object's `comp` is the compilation that first built it, which
+// may belong to another compiler family than a later requester's (g++
+// -O0 and every icpc -O0 triple share a fingerprint); the ABI-hazard
+// predicates hash the raw triple, so an interned line is linked with
+// Linker::link(line, requested compilation), which never reads the
+// stored `comp`.  BuildSystem::compile and compile_all still hand out
+// owned copies stamped with the requested triple.
 //
 // The cache is shared across threads of the parallel study engine and
 // across serial Bisect drivers (which relink far more often than they need
@@ -27,20 +39,25 @@
 // the affinity placement's co-location unit -- age together, so evicting
 // reclaims a whole group's objects at once and a half-resident group never
 // lingers (a study that needs one member of a group almost always needs
-// them all).  Eviction only ever changes wall-clock and hit/miss tallies:
-// a rebuilt entry is byte-identical to the evicted one (fingerprint
-// equality implies binding equality), so cached -- or evicted -- contents
-// can never alter study results.
+// them all).  Eviction and clear() drop only the cache's reference: an
+// object already handed out stays valid for its holders.  Eviction only
+// ever changes wall-clock and hit/miss tallies: a rebuilt entry is
+// byte-identical to the evicted one (fingerprint equality implies binding
+// equality), so cached -- or evicted -- contents can never alter study
+// results.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "fpsem/code_model.h"
 #include "toolchain/object.h"
 
 namespace flit::toolchain {
@@ -109,12 +126,39 @@ class CompilationCache {
     friend bool operator==(const Stats&, const Stats&) = default;
   };
 
-  /// Returns the object for (file, c, fpic, injected), invoking `build`
-  /// only when no semantically-equivalent compilation of the file is
-  /// cached.  The returned object always carries `c` as its compilation.
-  [[nodiscard]] ObjectFile get_or_build(
-      const std::string& file, const Compilation& c, bool fpic, bool injected,
-      const std::function<ObjectFile()>& build);
+  /// An interned object: immutable and shared by every holder.
+  using ObjectPtr = std::shared_ptr<const ObjectFile>;
+
+  /// One fingerprint's object set: every compilation of `model` whose
+  /// fingerprint(c, fpic) is `fingerprint` shares the set's objects, one
+  /// per model file.  The model's address is part of the key, so a cache
+  /// must not outlive a model it has interned objects of (clear() forgets
+  /// them all).
+  struct SetKey {
+    const fpsem::CodeModel* model = nullptr;
+    std::uint64_t fingerprint = 0;
+    bool fpic = false;
+    bool injected = false;
+
+    friend bool operator==(const SetKey&, const SetKey&) = default;
+  };
+
+  /// Builds the object of model file `file` on a miss.
+  using Builder = std::function<ObjectFile(std::size_t file)>;
+
+  /// Returns the interned objects of model files [first, first + count)
+  /// of `key`'s set, in file order.  One lookup finds the set; each file
+  /// is then a hit, or a miss that calls `build(file)` outside the lock
+  /// and interns the result.  `group` is the requesting compilation's
+  /// semantics_group.  Tallies, group recency and eviction move exactly
+  /// as `count` single-file lookups in file order would: every lookup
+  /// counts one hit or miss and refreshes `group`, and the budget is
+  /// enforced after each insertion.
+  [[nodiscard]] std::vector<ObjectPtr> intern(const SetKey& key,
+                                              std::uint64_t group,
+                                              std::size_t first,
+                                              std::size_t count,
+                                              const Builder& build);
 
   [[nodiscard]] Stats stats() const;
   void clear();
@@ -149,30 +193,26 @@ class CompilationCache {
   }
 
  private:
-  struct Key {
-    std::string file;
-    std::uint64_t fingerprint = 0;
-    bool fpic = false;
-    bool injected = false;
-
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
+  struct SetKeyHash {
+    std::size_t operator()(const SetKey& k) const;
   };
 
-  struct Entry {
-    ObjectFile obj;
-    std::uint64_t group = 0;  ///< semantics_group of the inserted comp
+  struct Slot {
+    ObjectPtr obj;            ///< null: not resident
     std::uint64_t bytes = 0;  ///< approx_object_bytes at insertion
   };
 
-  /// One LRU unit: the keys and footprint of a semantics-fingerprint
-  /// group, plus its position in the recency list.
+  /// One fingerprint's objects, slot i holding model file i.  Sets are
+  /// never erased before clear(), so the group index may point at them.
+  struct ObjectSet {
+    std::vector<Slot> slots;
+  };
+
+  /// One LRU unit: the slots of a semantics-fingerprint group, plus its
+  /// position in the recency list.
   struct GroupInfo {
     std::list<std::uint64_t>::iterator lru_pos;
-    std::vector<Key> keys;
-    std::uint64_t bytes = 0;
+    std::vector<std::pair<ObjectSet*, std::size_t>> slots;
   };
 
   /// Moves `group` to most-recently-used (creating it if new); caller
@@ -184,7 +224,8 @@ class CompilationCache {
   void evict_to_budget_locked();
 
   mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::unordered_map<SetKey, ObjectSet, SetKeyHash> sets_;
+  std::size_t resident_entries_ = 0;
   Stats stats_;
 
   std::optional<std::uint64_t> budget_;

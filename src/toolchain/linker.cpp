@@ -27,6 +27,17 @@ Executable Linker::link(std::span<const ObjectFile> objects,
 
 Executable Linker::link(std::span<const ObjectFile* const> objects,
                         const CompilerSpec& link_compiler) const {
+  return link_line(objects, link_compiler, nullptr);
+}
+
+Executable Linker::link(std::span<const ObjectFile* const> objects,
+                        const Compilation& comp) const {
+  return link_line(objects, comp.compiler, &comp);
+}
+
+Executable Linker::link_line(std::span<const ObjectFile* const> objects,
+                             const CompilerSpec& link_compiler,
+                             const Compilation* uniform) const {
   if (core::FaultInjector::global().any_armed()) {
     core::FaultInjector::global().maybe_fail(
         core::FaultSite::Link, "link|" + link_compiler.name);
@@ -139,21 +150,25 @@ Executable Linker::link(std::span<const ObjectFile* const> objects,
   }
 
   // --- run-time hazards --------------------------------------------------
+  // The compilation each object was requested under.
+  const auto comp_of = [uniform](const ObjectFile& o) -> const Compilation& {
+    return uniform != nullptr ? *uniform : o.comp;
+  };
   // (a) ABI mixing: an Intel-compiled object linked next to GCC/Clang
   //     objects segfaults when the (file, compilation) pair is toxic.
   bool has_gnu = false;
   for (const ObjectFile* o : objects) {
-    if (o->comp.compiler.family == CompilerFamily::GCC ||
-        o->comp.compiler.family == CompilerFamily::Clang) {
+    const CompilerFamily family = comp_of(*o).compiler.family;
+    if (family == CompilerFamily::GCC || family == CompilerFamily::Clang) {
       has_gnu = true;
     }
   }
   if (has_gnu) {
     for (const ObjectFile* o : objects) {
-      if (abi_toxic(o->source_file, o->comp)) {
+      if (abi_toxic(o->source_file, comp_of(*o))) {
         exe.crashes = true;
         exe.crash_reason = "SIGSEGV: ABI-incompatible object " +
-                           o->source_file + " [" + o->comp.str() + "]";
+                           o->source_file + " [" + comp_of(*o).str() + "]";
         break;
       }
     }
@@ -176,8 +191,8 @@ Executable Linker::link(std::span<const ObjectFile* const> objects,
           if (objects[j]->source_file == o.source_file) first = objects[j];
         }
       }
-      if (first != &o && !(first->comp == o.comp) &&
-          symbol_mix_toxic(o.source_file, first->comp, o.comp)) {
+      if (first != &o && !(comp_of(*first) == comp_of(o)) &&
+          symbol_mix_toxic(o.source_file, comp_of(*first), comp_of(o))) {
         exe.crashes = true;
         exe.crash_reason =
             "SIGSEGV: fragile strong/weak interposition in " + o.source_file;

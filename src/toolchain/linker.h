@@ -57,7 +57,8 @@ class Linker {
   /// with link driver `link_compiler`.  Every source file of the code
   /// model must be covered by at least one object.  Throws LinkError on
   /// link-time failures.  Symbols resolve by FunctionId (names are unique
-  /// in a CodeModel, so SymbolDef::fn identifies a symbol).
+  /// in a CodeModel, so SymbolDef::fn identifies a symbol).  The hazard
+  /// predicates read each object's own `comp`.
   [[nodiscard]] Executable link(std::span<const ObjectFile* const> objects,
                                 const CompilerSpec& link_compiler) const;
 
@@ -66,7 +67,21 @@ class Linker {
   [[nodiscard]] Executable link(std::span<const ObjectFile> objects,
                                 const CompilerSpec& link_compiler) const;
 
+  /// Links a line whose every object was requested under `comp`, with
+  /// `comp`'s compiler as link driver -- the line of interned objects
+  /// BuildSystem::intern_all returns.  The hazard predicates read `comp`,
+  /// never an object's stored `comp`, which names whichever equivalent
+  /// compilation built the shared object first.
+  [[nodiscard]] Executable link(std::span<const ObjectFile* const> objects,
+                                const Compilation& comp) const;
+
  private:
+  /// The shared body: `uniform`, when non-null, is every object's
+  /// compilation for the hazard predicates; otherwise each object's own.
+  [[nodiscard]] Executable link_line(
+      std::span<const ObjectFile* const> objects,
+      const CompilerSpec& link_compiler, const Compilation* uniform) const;
+
   const fpsem::CodeModel* model_;
 };
 

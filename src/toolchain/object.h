@@ -6,6 +6,12 @@
 // triple: it defines strong (or, after objcopy, weak) symbols for the
 // file's exported functions and carries the FnBinding each of the file's
 // functions (exported and internal) executes with.
+//
+// Objects come in two kinds.  The CompilationCache interns one immutable
+// object per (file, fingerprint, fpic, injected) and hands it out as a
+// `shared_ptr<const ObjectFile>` to every compilation with that
+// fingerprint; BuildSystem::compile and compile_all hand out owned
+// copies, which objcopy may rewrite and mixed link lines combine.
 
 #include <string>
 #include <unordered_map>
@@ -25,6 +31,13 @@ struct SymbolDef {
 
 struct ObjectFile {
   std::string source_file;
+
+  /// An owned copy carries the compilation it was requested under; the
+  /// linker's hazard predicates hash this raw triple on mixed lines.  An
+  /// interned object carries the compilation that first built it, which
+  /// can belong to another compiler family than a later requester's, so
+  /// interned lines are linked with the requested compilation instead
+  /// (Linker::link(line, comp)).
   Compilation comp;
   bool fpic = false;
 

@@ -239,13 +239,21 @@ bool link_step_fast_libm(const CompilerSpec& link_compiler) {
 
 fpsem::FnBinding derive_binding(const Compilation& c,
                                 const fpsem::FunctionInfo& fn, bool fpic) {
+  return derive_binding(c, fn, fpic, derive_semantics(c), derive_cost(c));
+}
+
+fpsem::FnBinding derive_binding(const Compilation& c,
+                                const fpsem::FunctionInfo& fn, bool fpic,
+                                const fpsem::FpSemantics& tu_sem,
+                                const fpsem::CostFactors& tu_cost) {
   fpsem::FnBinding b;
-  b.sem = derive_semantics(c);
-  b.cost = derive_cost(c);
+  b.sem = tu_sem;
+  b.cost = tu_cost;
   // Fast transcendentals only matter for functions that call libm; keep
   // the binding of libm-free functions canonical so strictness checks and
-  // binary comparisons are meaningful.
-  b.sem.fast_libm = fn.uses_libm && compile_time_fast_libm(c);
+  // binary comparisons are meaningful.  (tu_sem.fast_libm is
+  // compile_time_fast_libm(c).)
+  b.sem.fast_libm = fn.uses_libm && tu_sem.fast_libm;
   if (fpic) {
     b.cost.time_scale *= 1.03;  // PLT-indirect calls, no cross-TU inlining
     if (!b.sem.strict() && inlining_carries_variability(fn, c)) {

@@ -57,6 +57,15 @@ bool link_step_fast_libm(const CompilerSpec& link_compiler);
 fpsem::FnBinding derive_binding(const Compilation& c,
                                 const fpsem::FunctionInfo& fn, bool fpic);
 
+/// Same, from the TU-level derivations `tu_sem` == derive_semantics(c)
+/// and `tu_cost` == derive_cost(c), so a build derives them once per
+/// object rather than once per function.  Bit-identical to the form
+/// above.
+fpsem::FnBinding derive_binding(const Compilation& c,
+                                const fpsem::FunctionInfo& fn, bool fpic,
+                                const fpsem::FpSemantics& tu_sem,
+                                const fpsem::CostFactors& tu_cost);
+
 /// Deterministic predicate: is this (file, compilation) object file
 /// ABI-incompatible with g++-compiled objects?  Linking such an object
 /// into a mixed binary crashes it at run time (Table 2 failures).

@@ -114,7 +114,9 @@ void expect_exact_cover(const Placement& p, std::size_t n, int shards) {
   for (const auto& idx : p.rank_indices) {
     for (std::size_t k = 0; k < idx.size(); ++k) {
       ASSERT_LT(idx[k], n);
-      if (k > 0) EXPECT_LT(idx[k - 1], idx[k]);  // ascending, no repeats
+      if (k > 0) {
+        EXPECT_LT(idx[k - 1], idx[k]);  // ascending, no repeats
+      }
       EXPECT_FALSE(seen[idx[k]]) << "index " << idx[k] << " double-owned";
       seen[idx[k]] = true;
       ++covered;

@@ -13,8 +13,11 @@
 #include "core/probe_memo.h"
 #include "core/workflow.h"
 #include "mfemini/examples.h"
+#include "toolchain/build.h"
 #include "toolchain/compile_cache.h"
 #include "toolchain/compiler.h"
+#include "toolchain/linker.h"
+#include "toolchain/semantics_rules.h"
 
 namespace {
 
@@ -127,6 +130,90 @@ TEST(ParallelStudy, FullSpaceCacheHitRateExceedsHalf) {
     keys.insert(core::ProbeMemo::key_of_build(test.name(), c));
   }
   EXPECT_EQ(stats.hits + stats.misses, keys.size() * files);
+}
+
+TEST(InternedObjects, SharedObjectsLinkUnderTheRequestedCompilation) {
+  // g++ -O0 shares its fingerprint with every icpc -O0 triple, so a g++
+  // -O0 build reuses objects an icpc -O0 build interned.  The ABI hazard
+  // hashes the raw triple and fires only next to g++ objects, so a linker
+  // that read an interned object's stored compilation would crash a g++
+  // -O0 binary that a cold cache runs cleanly.
+  const fpsem::CodeModel& model = fpsem::global_code_model();
+  const Compilation gcc_o0{toolchain::gcc(), OptLevel::O0, ""};
+  std::string toxic_file;
+  Compilation toxic;
+  for (const Compilation& c : toolchain::mfem_study_space()) {
+    if (c.compiler.family != toolchain::CompilerFamily::Intel ||
+        c.opt != OptLevel::O0) {
+      continue;
+    }
+    for (const std::string& f : model.files()) {
+      if (toxic_file.empty() && toolchain::abi_toxic(f, c)) {
+        toxic_file = f;
+        toxic = c;
+      }
+    }
+  }
+  ASSERT_FALSE(toxic_file.empty());
+  ASSERT_EQ(toolchain::CompilationCache::fingerprint(toxic, false),
+            toolchain::CompilationCache::fingerprint(gcc_o0, false));
+
+  toolchain::CompilationCache cache;
+  (void)toolchain::BuildSystem(&model, &cache).compile(toxic_file, toxic);
+
+  // The anchors stay off the shared fingerprint, so the g++ -O0 item is
+  // an ordinary item whose crash would be quarantined, not fatal.
+  const Compilation base{toolchain::clang(), OptLevel::O0, ""};
+  const Compilation ref{toolchain::clang(), OptLevel::O2, ""};
+  const std::vector<Compilation> item = {gcc_o0};
+  mfemini::MfemExampleTest test(1);
+  core::SpaceExplorer warm(&model, base, ref, 1, &cache);
+  core::SpaceExplorer cold(&model, base, ref, 1);
+  const core::StudyResult got = warm.explore(test, item);
+  const core::StudyResult want = cold.explore(test, item);
+  EXPECT_GT(cache.stats().hits, 0u);  // the icpc-built object was reused
+  ASSERT_EQ(want.outcomes.size(), 1u);
+  EXPECT_EQ(want.outcomes[0].status, core::OutcomeStatus::Ok);
+  EXPECT_EQ(got.outcomes[0].status, core::OutcomeStatus::Ok)
+      << got.outcomes[0].reason;
+  expect_identical_studies(got, want);
+
+  // The premise, at the link step: the shared object names the icpc
+  // triple, and reading it crashes the line.
+  const toolchain::BuildSystem build(&model, &cache);
+  const auto objs = build.intern_all(gcc_o0);
+  std::vector<const toolchain::ObjectFile*> line;
+  for (const auto& o : objs) line.push_back(o.get());
+  const std::size_t f = *model.file_index(toxic_file);
+  EXPECT_EQ(objs[f]->comp, toxic);
+  const toolchain::Linker linker(&model);
+  EXPECT_FALSE(linker.link(line, gcc_o0).crashes);
+  EXPECT_TRUE(linker.link(line, gcc_o0.compiler).crashes);
+}
+TEST(InternedObjects, BudgetedFullSpaceSweepKeepsItsCacheTallies) {
+  // Two full-space studies through one serial explorer over one cache
+  // whose budget holds about 16 of the space's semantics groups; the
+  // second walks the space backwards, so it hits the groups the first
+  // left resident and then evicts.  The tallies are pinned to what the
+  // cache counted when every hit was a copy, so interning moved no hit,
+  // miss, eviction or byte.
+  toolchain::CompilationCache cache;
+  cache.set_budget(200000);
+  core::SpaceExplorer explorer(&fpsem::global_code_model(),
+                               toolchain::mfem_baseline(),
+                               toolchain::mfem_speed_reference(), 1, &cache);
+  const auto space = toolchain::mfem_study_space();
+  const std::vector<Compilation> backwards(space.rbegin(), space.rend());
+  mfemini::MfemExampleTest first(3);
+  mfemini::MfemExampleTest second(5);
+  (void)explorer.explore(first, space);
+  (void)explorer.explore(second, backwards);
+  const toolchain::CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 169u);
+  EXPECT_EQ(s.misses, 1859u);
+  EXPECT_EQ(s.evictions, 1651u);
+  EXPECT_EQ(s.inserted_bytes, 1711398u);
+  EXPECT_EQ(s.evicted_bytes, 1519668u);
 }
 
 void expect_identical_workflows(const core::WorkflowReport& a,

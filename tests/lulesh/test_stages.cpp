@@ -27,7 +27,9 @@ TEST(LuleshStages, ViscosityIsNonNegativeAndCompressionOnly) {
   const Domain d = evolved(40);
   for (std::size_t k = 0; k < d.numElem(); ++k) {
     EXPECT_GE(d.q[k], 0.0) << k;
-    if (d.vdov[k] >= 0.0) EXPECT_EQ(d.q[k], 0.0) << k;
+    if (d.vdov[k] >= 0.0) {
+      EXPECT_EQ(d.q[k], 0.0) << k;
+    }
     EXPECT_GE(d.qq[k], 0.0) << k;
     EXPECT_GE(d.ql[k], 0.0) << k;
   }
@@ -37,7 +39,9 @@ TEST(LuleshStages, PressureStaysNonNegativeAndTracksEnergy) {
   const Domain d = evolved(40);
   for (std::size_t k = 0; k < d.numElem(); ++k) {
     EXPECT_GE(d.p[k], 0.0) << k;
-    if (d.e[k] <= 1e-9) EXPECT_LE(d.p[k], 1e-6) << k;
+    if (d.e[k] <= 1e-9) {
+      EXPECT_LE(d.p[k], 1e-6) << k;
+    }
   }
   // The shocked region has both energy and pressure.
   EXPECT_GT(d.p[0] + d.p[1], 0.0);

@@ -192,4 +192,27 @@ TEST(Tracer, EventOrderIsLexicographicOnTheStamp) {
   EXPECT_TRUE(obs::trace_event_less(a, no_index));  // kNoIndex sorts last
 }
 
+TEST(Tracer, EventsDifferingOnlyInCostDrainInOneOrder) {
+  // Two serve requests' spans at one lane-relative item index share the
+  // whole stamp and differ only in cost; their drain order must not
+  // depend on which was recorded first.
+  const auto record = [](obs::Tracer& t, double cost) {
+    obs::ScopedItem item(0, 32, 0);
+    obs::Span span(&t, "run", "explore", "g++ -O1 -mavx");
+    span.set_cost(cost);
+  };
+  obs::Tracer first;
+  obs::Tracer second;
+  first.set_enabled(true);
+  second.set_enabled(true);
+  record(first, 2.0e6);
+  record(first, 1.0e6);
+  record(second, 1.0e6);
+  record(second, 2.0e6);
+  const auto drained = first.drain_sorted();
+  ASSERT_EQ(drained.size(), 2u);
+  EXPECT_EQ(drained, second.drain_sorted());
+  EXPECT_LT(drained[0].cost, drained[1].cost);
+}
+
 }  // namespace

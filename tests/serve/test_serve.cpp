@@ -84,6 +84,7 @@ TEST(StudyRequestParse, RejectsMalformedLinesWithTheOffendingDetail) {
   rejects(R"({"id":"a","id":"b","test":"T"})", "duplicate key");
   rejects(R"({"id":"a","test":"T","limit":-1})", "non-negative");
   rejects(R"(["id"])", "expected '{'");
+  rejects(R"({"id":"a","test":"T\u0041"})", "unsupported escape");
 }
 
 TEST(StudyRequestParse, StreamReaderSkipsCommentsAndNamesDuplicateIds) {

@@ -324,4 +324,76 @@ TEST(CompilationCache, ClearResetsEntriesAndCounters) {
   EXPECT_EQ(cache.stats().misses, m.files().size());
 }
 
+TEST(CompilationCache, InternedHitsShareTheFirstBuildersObject) {
+  // A hit hands out the interned pointer itself: equivalent triples share
+  // one object, which keeps the compilation that built it.
+  CodeModel m = make_model();
+  CompilationCache cache;
+  BuildSystem build(&m, &cache);
+
+  const auto first = build.intern_all(o1_plain());
+  const auto again = build.intern_all(o1_inert());
+  ASSERT_EQ(first.size(), m.files().size());
+  ASSERT_EQ(again.size(), m.files().size());
+  for (std::size_t f = 0; f < first.size(); ++f) {
+    EXPECT_EQ(first[f].get(), again[f].get()) << m.files()[f];
+    EXPECT_EQ(again[f]->comp, o1_plain());
+    EXPECT_EQ(again[f]->source_file, m.files()[f]);
+  }
+  EXPECT_EQ(cache.stats().misses, m.files().size());
+  EXPECT_EQ(cache.stats().hits, m.files().size());
+  EXPECT_EQ(cache.resident_entries(), m.files().size());
+}
+
+TEST(CompilationCache, InternedObjectOutlivesItsEviction) {
+  // Eviction and clear() drop only the cache's reference: an object the
+  // cache handed out stays valid and equal for its holder (the ASan job
+  // checks the lifetime).
+  CodeModel m = make_model();
+  CompilationCache cache;
+  BuildSystem build(&m, &cache);
+  BuildSystem uncached(&m);
+
+  const auto objs = build.intern_all(o1_plain());
+  const auto fpic = build.intern_all(o1_plain(), /*fpic=*/true);
+  cache.set_budget(0);
+  EXPECT_EQ(cache.resident_entries(), 0u);
+  EXPECT_EQ(cache.stats().evictions, 2 * m.files().size());
+  cache.clear();
+  for (std::size_t f = 0; f < objs.size(); ++f) {
+    const std::string& file = m.files()[f];
+    expect_same_object(*objs[f], uncached.compile(file, o1_plain()));
+    expect_same_object(*fpic[f], uncached.compile(file, o1_plain(), true));
+    EXPECT_EQ(objs[f]->comp, o1_plain());
+  }
+
+  // A rebuilt object is a new one, equal to the evicted one.
+  cache.set_budget(std::nullopt);
+  const auto rebuilt = build.intern_all(o1_plain());
+  EXPECT_NE(rebuilt.front().get(), objs.front().get());
+  expect_same_object(*rebuilt.front(), *objs.front());
+}
+
+TEST(CompilationCache, BudgetedStudySpaceSweepKeepsItsTallies) {
+  // Every triple of the study space compiled whole, then one file again
+  // under -fPIC, through one cache whose budget holds a few semantics
+  // groups.  The tallies are pinned to what the cache counted when every
+  // hit was a copy, so interning moved no hit, miss, eviction or byte.
+  CodeModel m = make_model();
+  CompilationCache cache;
+  cache.set_budget(3000);
+  BuildSystem build(&m, &cache);
+  for (const Compilation& c : mfem_study_space()) {
+    (void)build.compile_all(c);
+    (void)build.compile("cc/b.cpp", c, /*fpic=*/true);
+  }
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 282u);
+  EXPECT_EQ(s.misses, 450u);
+  EXPECT_EQ(s.evictions, 440u);
+  EXPECT_EQ(s.inserted_bytes, 133857u);
+  EXPECT_EQ(s.evicted_bytes, 130954u);
+  EXPECT_EQ(cache.resident_bytes(), s.resident_bytes());
+}
+
 }  // namespace
