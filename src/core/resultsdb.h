@@ -10,17 +10,32 @@
 // out of live ranks before the item ever executed): re-running with
 // --resume fills those cells in and converges to the unfaulted bytes.
 //
-// Durability: save() writes a temporary file in the database's directory
-// and renames it into place, so a crash mid-save never bricks the store;
-// load() tolerates a malformed trailing row (dropped with a warning) and
-// accepts the pre-status four-column header for databases written before
-// failure accounting existed.  Every other row load() cannot round-trip
-// -- malformed, wider than its header, or a second row for a (test,
-// compilation) key -- throws std::runtime_error naming its line.
+// Durability: the crash model is process death (a kill, a crash, the
+// injector's kill:N site), not power loss -- nothing calls fsync.  A
+// record() appends the rows that are new since the last write: one open,
+// one write, a flush and a close before it returns, so the checkpoint is
+// on disk when a killed process exits.  It rewrites the whole file
+// instead -- into a temporary in the database's directory, renamed into
+// place, so a crash mid-rewrite leaves the old or the new database --
+// when the file does not exist yet, on the first record() after a load,
+// when a row the file already holds changed value, or when the file's
+// inode or length is not what this instance last left (another instance
+// wrote the path, and the rewrite lets the last writer win).  Either way
+// the file is byte for byte what a rewrite of the same rows writes.
+//
+// load() drops a torn tail with a warning: a last line without its
+// '\n' is what a kill mid-append leaves, even when it parses.  It also
+// drops a malformed last row, and accepts the pre-status four-column
+// header for databases written before failure accounting existed; the
+// next record() rewrites the file.  Every other row load() cannot
+// round-trip -- malformed, wider than its header, or a second row for a
+// (test, compilation) key -- throws std::runtime_error naming its line.
 
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/explorer.h"
@@ -52,7 +67,7 @@ class ResultsDb {
   explicit ResultsDb(std::filesystem::path path);
 
   /// Merges a study's outcomes (replacing rows with the same
-  /// test/compilation key) and persists to disk atomically.
+  /// test/compilation key) and persists them before returning.
   void record(const StudyResult& study);
 
   /// Upserts foreign rows in memory (same key semantics as record)
@@ -83,10 +98,34 @@ class ResultsDb {
 
  private:
   void load();
-  void save() const;
+  /// Inserts `row`, or replaces the row with its key unless the two
+  /// would write the same bytes.
+  void upsert(ResultRow row);
+  void save();
+  void append();
+
+  /// stat()'s view of the database file.  A rewrite renames a new file
+  /// into place, so another instance's rewrite changes the inode, and an
+  /// append changes the length.
+  struct FileStamp {
+    std::uintmax_t device = 0;
+    std::uintmax_t inode = 0;
+    std::uintmax_t bytes = 0;
+    friend bool operator==(const FileStamp&, const FileStamp&) = default;
+  };
+  /// The file's stamp, or nothing when it cannot be stat'ed.
+  [[nodiscard]] std::optional<FileStamp> stamp() const;
 
   std::filesystem::path path_;
   std::vector<ResultRow> rows_;
+  /// Position in rows_ of each (test, compilation) key's row.
+  std::unordered_map<std::string, std::size_t> index_;
+  /// Set while the file holds exactly what save() writes for
+  /// rows_[0, synced_): the stamp this instance's last write left on it.
+  /// Unset until this instance writes the file, and after one of those
+  /// rows changes.
+  std::optional<FileStamp> synced_file_;
+  std::size_t synced_ = 0;
 };
 
 }  // namespace flit::core

@@ -340,6 +340,9 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
       ++report.deduplicated;
       m_completed.add();
     }
+    // The database is on disk and followers copied the file; its rows and
+    // index would otherwise stay resident until the stream ends.
+    e.db.reset();
   };
 
   admit_next();

@@ -1,6 +1,7 @@
 // ResultsDb: round-trip persistence, merge-on-record semantics, queries,
-// malformed-file rejection.
+// malformed-file rejection, and the appended file matching a rewrite.
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/resultsdb.h"
+#include "resultsdb_text.h"
 
 namespace {
 
@@ -364,6 +366,125 @@ TEST_F(ResultsDbTest, SaveLeavesNoTemporaryBehind) {
   db.record(study("T1", 1.0, 0.0L));
   EXPECT_TRUE(fs::exists(path_));
   EXPECT_FALSE(fs::exists(path_.string() + ".tmp"));
+}
+
+TEST_F(ResultsDbTest, CarriageReturnInReasonOrNulInNumberIsMalformed) {
+  // A save writes a CR in a reason as a space, and a NUL inside a number
+  // ends it early ("1\0.5" would load as 1): neither row round-trips.
+  const std::string bad_rows[] = {
+      "T1\tg++ -O2\t1.5\t0\tretried\trecovered\rfrom\n",
+      std::string("T1\tg++ -O2\t1") + '\0' + ".5\t0\tok\t\n",
+      std::string("T1\tg++ -O2\t1.5\t0") + '\0' + "1\tok\t\n",
+  };
+  for (const std::string& bad : bad_rows) {
+    test::write_file(path_,
+                     "test\tcompilation\tspeedup\tvariability\tstatus\t"
+                     "reason\n" +
+                         bad + "T2\tg++ -O2\t1\t0\tok\t\n");
+    EXPECT_NE(load_error(path_).find("malformed row at line 2 of"),
+              std::string::npos);
+  }
+}
+
+TEST_F(ResultsDbTest, EveryRecordLeavesTheRenderedRows) {
+  // Appends, in-place changes, merges, reopens, a v1 upgrade and a torn
+  // tail: after every record() the file is the header plus rows() as a
+  // rewrite writes them, and merge_rows() alone writes nothing.
+  const auto expect_rendered = [&](const ResultsDb& db,
+                                   const std::string& step) {
+    EXPECT_EQ(test::file_text(path_), test::render(db.rows())) << step;
+  };
+  ResultsDb db(path_);
+  db.record(study("T1", 1.25, 0.0L));
+  expect_rendered(db, "create");
+  db.record(study("T2", 1.5, 1e-12L));
+  expect_rendered(db, "append");
+  db.record(study("T3", 0.0, 0.0L));
+  expect_rendered(db, "second append");
+  db.record(study("T2", 1.5, 1e-12L));
+  expect_rendered(db, "equal rows recorded again");
+
+  StudyResult changed = study("T1", 1.25, 0.0L);
+  changed.outcomes[1].status = core::OutcomeStatus::Retried;
+  changed.outcomes[1].reason = "recovered from: injected fault";
+  db.record(changed);
+  expect_rendered(db, "a row on disk changed");
+  db.record(study("T3", -0.0, 0.0L));  // equal to 0, but written "-0"
+  EXPECT_TRUE(std::signbit(db.find("T3", "g++ -O2")->speedup));
+  expect_rendered(db, "a zero changed sign");
+
+  core::ResultRow fresh{"T4", "clang++ -O3", 3.0, 0.0L,
+                        core::OutcomeStatus::Ok, ""};
+  core::ResultRow equal = db.rows()[0];
+  core::ResultRow moved = db.rows()[2];
+  moved.speedup = 7.0;
+  const std::string before = test::file_text(path_);
+  db.merge_rows({fresh, equal, moved});
+  EXPECT_EQ(test::file_text(path_), before) << "merge_rows wrote";
+  db.record(study("T5", 1.0, 0.0L));
+  expect_rendered(db, "record after merge_rows");
+
+  {
+    ResultsDb reopened(path_);
+    reopened.record(study("T6", 1.0, 0.0L));
+    expect_rendered(reopened, "reopen then record");
+    reopened.record(study("T7", 1.0, 0.0L));
+    expect_rendered(reopened, "append after reopen");
+  }
+
+  {
+    test::write_file(path_,
+                     "test\tcompilation\tspeedup\tvariability\n"
+                     "T1\tg++ -O2\t1.5\t0\n");
+    ResultsDb upgraded(path_);
+    upgraded.record(study("T2", 1.0, 0.0L));
+    expect_rendered(upgraded, "v1 upgrade");
+  }
+
+  {
+    std::ofstream(path_, std::ios::app) << "T9\tg++ -O2\t1.5\t0\tok";
+    ResultsDb healed(path_);
+    EXPECT_FALSE(healed.find("T9", "g++ -O2").has_value());
+    healed.record(study("T8", 1.0, 0.0L));
+    expect_rendered(healed, "torn tail healed");
+  }
+  EXPECT_FALSE(fs::exists(path_.string() + ".tmp"));
+}
+
+TEST_F(ResultsDbTest, LastOfTwoInstancesOnOnePathWins) {
+  {
+    ResultsDb a(path_);
+    a.record(study("T1", 1.0, 0.0L));
+    ResultsDb b(path_);
+    b.record(study("T2", 2.0, 0.0L));
+    a.record(study("T3", 3.0, 0.0L));
+    EXPECT_EQ(test::file_text(path_), test::render(a.rows()));
+  }
+  // Both open an empty path and write rows of one length: B's rewrite
+  // leaves the length A left, in another file.
+  fs::remove(path_);
+  ResultsDb a(path_);
+  ResultsDb b(path_);
+  a.record(study("T1", 1.0, 0.0L));
+  b.record(study("T2", 1.0, 0.0L));
+  a.record(study("T3", 1.0, 0.0L));
+  EXPECT_EQ(test::file_text(path_), test::render(a.rows()));
+}
+
+TEST_F(ResultsDbTest, RecordAppendsInPlaceUntilARowOnDiskChanges) {
+  // A hard link keeps the file record() appends to, and is left behind
+  // when a rewrite renames a new file into place.
+  const fs::path link = path_.string() + ".link";
+  fs::remove(link);
+  ResultsDb db(path_);
+  db.record(study("T1", 1.0, 0.0L));
+  fs::create_hard_link(path_, link);
+  db.record(study("T2", 1.0, 0.0L));
+  EXPECT_EQ(test::file_text(link), test::file_text(path_)) << "rewrote";
+  db.record(study("T1", 2.0, 0.0L));
+  EXPECT_NE(test::file_text(link), test::file_text(path_)) << "appended";
+  EXPECT_EQ(test::file_text(path_), test::render(db.rows()));
+  fs::remove(link);
 }
 
 }  // namespace
