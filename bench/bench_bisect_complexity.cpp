@@ -1,134 +1,89 @@
-// Ablation microbenchmark (google-benchmark): the O(k log N) claim of
-// Sec. 2.4.  Compares program-execution counts and wall time of
-//   * bisect_all (Algorithm 1),
-//   * a linear scan (always O(N)),
-//   * a ddmin-style quadratic partition search (O(k^2 log N)),
-// over synthetic universes of N elements with k culprits.  The
-// "executions" counter is the paper's cost metric: real (memoized-miss)
-// Test evaluations.
+// Ablation of the O(k log N) claim of Sec. 2.4: the real Test executions
+// (memoized misses, the paper's cost metric) that each search spends to
+// find k planted culprits among N elements --
+//   * core::bisect_all (Algorithm 1), against its (k+1)(log2 N + 2) bound,
+//   * a linear scan, which tests every element alone (always N),
+//   * core::ddmin, delta debugging's 1-minimal failing subset
+//     (O(k^2 log N)),
+// over nine synthetic universes.  Every search must return exactly the
+// planted culprits.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <numeric>
 #include <random>
 #include <set>
-
-#include <benchmark/benchmark.h>
+#include <vector>
 
 #include "core/bisect.h"
+#include "core/delta_debug.h"
 
 namespace {
 
 using flit::core::MemoizedTest;
-using flit::core::bisect_all;
 
-std::set<int> culprits_for(int n, int k, unsigned seed) {
+std::vector<int> culprits_for(int n, int k, unsigned seed) {
   std::mt19937 rng(seed);
   std::set<int> c;
   while (static_cast<int>(c.size()) < k) {
     c.insert(static_cast<int>(rng() % static_cast<unsigned>(n)));
   }
-  return c;
+  return {c.begin(), c.end()};
 }
 
-MemoizedTest<int> make_test(const std::set<int>& culprits) {
+/// A culprit adds its own power of two, so any subset holding culprits
+/// tests positive and only the full culprit set reaches the full value.
+MemoizedTest<int> make_test(const std::vector<int>& culprits) {
   return MemoizedTest<int>([culprits](const std::vector<int>& items) {
     double v = 0.0;
     for (int e : items) {
-      if (culprits.contains(e)) v += std::ldexp(1.0, e % 50);
+      if (std::binary_search(culprits.begin(), culprits.end(), e)) {
+        v += std::ldexp(1.0, e % 50);
+      }
     }
     return v;
   });
 }
 
-std::vector<int> universe(int n) {
-  std::vector<int> u(n);
-  for (int i = 0; i < n; ++i) u[i] = i;
-  return u;
-}
-
-void BM_BisectAll(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const auto culprits = culprits_for(n, k, 42);
-  double execs = 0.0;
-  for (auto _ : state) {
-    auto test = make_test(culprits);
-    auto out = bisect_all(test, universe(n));
-    benchmark::DoNotOptimize(out.found.data());
-    execs = out.executions;
-  }
-  state.counters["executions"] = execs;
-  state.counters["bound_klogn"] =
-      (k + 1) * (std::log2(static_cast<double>(n)) + 2.0);
-}
-
-void BM_LinearScan(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const auto culprits = culprits_for(n, k, 42);
-  double execs = 0.0;
-  for (auto _ : state) {
-    auto test = make_test(culprits);
-    std::vector<int> found;
-    for (int e : universe(n)) {
-      if (test({e}) > 0.0) found.push_back(e);
-    }
-    benchmark::DoNotOptimize(found.data());
-    execs = test.executions();
-  }
-  state.counters["executions"] = execs;
-}
-
-/// ddmin-flavoured search: repeatedly isolate one minimal failing subset
-/// by binary partitioning, restarting from the full set after each find
-/// (no removal pruning) -- the O(k^2 log N) behaviour Bisect improves on.
-void BM_DdminStyle(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const auto culprits = culprits_for(n, k, 42);
-  double execs = 0.0;
-  for (auto _ : state) {
-    auto test = make_test(culprits);
-    std::vector<int> found;
-    std::vector<int> all = universe(n);
-    while (true) {
-      // find one culprit not yet found by descending from the full set
-      std::vector<int> cur;
-      for (int e : all) {
-        if (std::find(found.begin(), found.end(), e) == found.end()) {
-          cur.push_back(e);
-        }
-      }
-      if (cur.empty() || !(test(cur) > 0.0)) break;
-      while (cur.size() > 1) {
-        const auto mid = static_cast<std::ptrdiff_t>(cur.size() / 2);
-        std::vector<int> lo(cur.begin(), cur.begin() + mid);
-        std::vector<int> hi(cur.begin() + mid, cur.end());
-        if (test(lo) > 0.0) {
-          cur = std::move(lo);
-        } else if (test(hi) > 0.0) {
-          cur = std::move(hi);
-        } else {
-          break;  // coupled; bail out
-        }
-      }
-      found.push_back(cur.front());
-    }
-    benchmark::DoNotOptimize(found.data());
-    execs = test.executions();
-  }
-  state.counters["executions"] = execs;
-}
-
-void shapes(benchmark::internal::Benchmark* b) {
-  for (int n : {64, 256, 1024}) {
-    for (int k : {1, 4, 8}) b->Args({n, k});
-  }
-}
-
-BENCHMARK(BM_BisectAll)->Apply(shapes);
-BENCHMARK(BM_LinearScan)->Apply(shapes);
-BENCHMARK(BM_DdminStyle)->Apply(shapes);
-
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  std::printf("Bisect complexity (Sec. 2.4): real Test executions to find "
+              "k culprits among N elements\n");
+  std::printf("%6s %3s %11s %14s %12s %7s\n", "N", "k", "bisect_all",
+              "(k+1)(lgN+2)", "linear scan", "ddmin");
+  for (const int n : {64, 256, 1024}) {
+    std::vector<int> universe(static_cast<std::size_t>(n));
+    std::iota(universe.begin(), universe.end(), 0);
+    for (const int k : {1, 4, 8}) {
+      const std::vector<int> culprits = culprits_for(n, k, 42);
+
+      auto bisect_test = make_test(culprits);
+      auto bisect = flit::core::bisect_all(bisect_test, universe);
+      std::sort(bisect.found.begin(), bisect.found.end());
+
+      auto linear_test = make_test(culprits);
+      std::vector<int> linear;
+      for (const int e : universe) {
+        if (linear_test({e}) > 0.0) linear.push_back(e);
+      }
+
+      auto ddmin_test = make_test(culprits);
+      auto dd = flit::core::ddmin(ddmin_test, universe);
+      std::sort(dd.minimal.begin(), dd.minimal.end());
+
+      if (bisect.found != culprits || linear != culprits ||
+          dd.minimal != culprits) {
+        std::fprintf(stderr,
+                     "FATAL: a search missed the culprits at N=%d k=%d\n", n,
+                     k);
+        return 1;
+      }
+      std::printf("%6d %3d %11d %14.0f %12d %7d\n", n, k, bisect.executions,
+                  (k + 1) * (std::log2(static_cast<double>(n)) + 2.0),
+                  linear_test.executions(), dd.executions);
+    }
+  }
+  return 0;
+}

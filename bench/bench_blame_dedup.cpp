@@ -2,11 +2,12 @@
 //
 //  Phase A -- the full Table-1 study (19 mini-MFEM examples x 244
 //  compilations): every variability-flagged cell is bisected through one
-//  shared probe memo, the clustered report must be bitwise-identical
-//  across shards {1,2,4} x jobs {1,4} x steal on/off, and the memoized
-//  campaign must execute at least 40% fewer *real* programs than
-//  independent per-cell bisects would (the sum of the cells' logical
-//  execution counts, which is exactly what memo-less drivers run).
+//  shared probe memo, and the memoized campaign must execute at least 40%
+//  fewer *real* programs than independent per-cell bisects would (the sum
+//  of the cells' logical execution counts, which is exactly what
+//  memo-less bisects run).  That the report does not move under any
+//  shards x jobs x steal x memo mix is a ctest
+//  (Campaign.ReportIsBitwiseIdenticalAcrossShardsJobsStealAndMemo).
 //
 //  Phase B -- a 72-kernel generated corpus with planted ground truth:
 //  clustering the campaign's blame sites must co-cluster kernels with the
@@ -14,7 +15,6 @@
 //  and recall 1.0 (gen/dedup.h).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -32,11 +32,6 @@
 using namespace flit;
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 blame::BlameOptions options_for(int shards, unsigned jobs, bool steal) {
   blame::BlameOptions opts;
@@ -66,24 +61,21 @@ int main() {
   const core::SpaceExplorer explorer(&fpsem::global_code_model(),
                                      toolchain::mfem_baseline(),
                                      toolchain::mfem_speed_reference(), 8);
-  const auto study_start = std::chrono::steady_clock::now();
   blame::CampaignInput input;
   for (int ex = 1; ex <= mfemini::kNumExamples; ++ex) {
     const mfemini::MfemExampleTest test(ex);
     input.merge(blame::input_from_study(explorer.explore(test, space)));
-    std::fprintf(stderr, "  [blame-dedup] study %2d/%d done (%.1fs)\n", ex,
-                 mfemini::kNumExamples, seconds_since(study_start));
   }
 
-  // The measuring run: serial, memo on.  The campaign's logical execution
-  // count is memo-invariant, so the independent-bisect baseline is simply
-  // the sum of each cell's own logical count -- exactly what per-cell
-  // drivers without a shared memo run for the same findings.  Real
-  // executions are memo misses: distinct executables actually run.
-  const auto campaign_start = std::chrono::steady_clock::now();
+  // The measuring run: four lanes, memo on.  The campaign's logical
+  // execution count is memo-invariant, so the independent-bisect baseline
+  // is simply the sum of each cell's own logical count -- exactly what
+  // per-cell bisects without a shared memo run for the same findings.
+  // Real executions are memo misses: distinct executables actually run.
+  // The memo is single-flight and the pair phase starts after the last
+  // cell, so each phase's real count is the same at any lane count.
   const blame::BlameReport measured = blame::run_campaign(
-      &fpsem::global_code_model(), mfem_registry, input, options_for(1, 1, false));
-  const double campaign_wall = seconds_since(campaign_start);
+      &fpsem::global_code_model(), mfem_registry, input, options_for(1, 4, false));
 
   long long independent = 0;
   long long cell_hits = 0;
@@ -103,9 +95,9 @@ int main() {
   std::printf("blame-dedup campaign over the Table-1 matrix (%d examples x "
               "%zu compilations):\n",
               mfemini::kNumExamples, space.size());
-  std::printf("  cells %zu, clusters %zu, failed searches %zu (%.1fs)\n",
+  std::printf("  cells %zu, clusters %zu, failed searches %zu\n",
               measured.cells.size(), measured.clusters.size(),
-              measured.failed_cells.size(), campaign_wall);
+              measured.failed_cells.size());
   std::printf("  independent per-cell executions %lld, memoized real "
               "executions %lld (%.1f%% saved)\n",
               independent, cells_real, 100.0 * savings);
@@ -135,33 +127,6 @@ int main() {
                  total_real, independent);
     return 1;
   }
-
-  // Identity matrix: the deterministic report must not move by a byte
-  // under any sharding, lane count, or stealing decision.
-  const std::string reference = measured.text();
-  int identity_configs = 1;
-  const auto identity_start = std::chrono::steady_clock::now();
-  for (const int shards : {1, 2, 4}) {
-    for (const unsigned jobs : {1u, 4u}) {
-      for (const bool steal : {false, true}) {
-        if (shards == 1 && jobs == 1 && !steal) continue;  // the reference
-        const blame::BlameReport r =
-            blame::run_campaign(&fpsem::global_code_model(), mfem_registry,
-                                input, options_for(shards, jobs, steal));
-        ++identity_configs;
-        if (r.text() != reference || r.executions != measured.executions) {
-          std::fprintf(stderr,
-                       "FATAL: report diverged at shards=%d jobs=%u "
-                       "steal=%d\n",
-                       shards, jobs, steal);
-          return 1;
-        }
-      }
-    }
-  }
-  std::printf("  report bitwise-identical across %d shardsxjobsxsteal "
-              "configurations (%.1fs)\n",
-              identity_configs, seconds_since(identity_start));
 
   // ------------------------------- Phase B: label-scored gen-corpus dedup
   //
@@ -197,7 +162,6 @@ int main() {
   const core::SpaceExplorer gen_explorer(&gen_model,
                                          toolchain::mfem_baseline(),
                                          toolchain::mfem_speed_reference(), 8);
-  const auto gen_start = std::chrono::steady_clock::now();
   const auto gen_test = gen_registry.create(gen::kSuiteTestName);
   const blame::CampaignInput gen_input =
       blame::input_from_study(gen_explorer.explore(*gen_test, gen_space));
@@ -205,7 +169,6 @@ int main() {
   blame::BlameOptions gen_opts = options_for(2, 4, true);
   const blame::BlameReport gen_report = blame::run_campaign(
       &gen_model, gen_registry, gen_input, gen_opts);
-  const double gen_wall = seconds_since(gen_start);
 
   // A kernel's dedup signature is the sorted set of blame sites naming its
   // model file; same-mechanism kernels must share it exactly.
@@ -234,10 +197,9 @@ int main() {
   std::printf("label-scored dedup over a %zu-kernel generated corpus "
               "(%zu mechanism-attributable compilations):\n",
               suite.kernels.size(), gen_space.size());
-  std::printf("  cells %zu, clusters %zu, precision %.3f, recall %.3f "
-              "(%.1fs)\n",
+  std::printf("  cells %zu, clusters %zu, precision %.3f, recall %.3f\n",
               gen_report.cells.size(), gen_report.clusters.size(),
-              score.precision(), score.recall(), gen_wall);
+              score.precision(), score.recall());
 
   if (score.precision() != 1.0 || score.recall() != 1.0) {
     std::fprintf(stderr,
@@ -257,24 +219,5 @@ int main() {
     }
     return 1;
   }
-
-  std::printf(
-      "BENCH_JSON {\"bench\":\"blame_dedup\",\"examples\":%d,"
-      "\"space\":%zu,\"cells\":%zu,\"clusters\":%zu,"
-      "\"independent_executions\":%lld,\"dedup_real_executions\":%lld,"
-      "\"savings_pct\":%.2f,\"adversarial_real_executions\":%lld,"
-      "\"campaign_real_executions\":%lld,"
-      "\"identity_configs\":%d,\"identical\":true,"
-      "\"campaign_wall_s\":%.6f}\n",
-      mfemini::kNumExamples, space.size(), measured.cells.size(),
-      measured.clusters.size(), independent, cells_real, 100.0 * savings,
-      pairs_real, total_real, identity_configs, campaign_wall);
-  std::printf(
-      "BENCH_JSON {\"bench\":\"blame_dedup_gen\",\"kernels\":%zu,"
-      "\"space\":%zu,\"cells\":%zu,\"clusters\":%zu,\"precision\":%.4f,"
-      "\"recall\":%.4f,\"wall_s\":%.6f}\n",
-      suite.kernels.size(), gen_space.size(), gen_report.cells.size(),
-      gen_report.clusters.size(), score.precision(), score.recall(),
-      gen_wall);
   return 0;
 }

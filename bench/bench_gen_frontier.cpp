@@ -1,165 +1,40 @@
 // The generated-workload frontier: what the synthetic corpus buys over
-// the paper's fixed applications, measured on both axes the subsystem
-// claims.
+// the paper's fixed applications in verdict scoring.
 //
-// Phase A (fleet): a >= 1,024-kernel generated space runs as one suite
-// study over the full 244-compilation MFEM space -- solo, sharded
-// (4 ranks, work stealing), and through the study service -- and the
-// three runs must produce byte-identical study CSVs and converged
-// databases.  Reported: wall clock per engine.
+// The Table-5 injection methodology runs over a generated corpus sized to
+// >= 10x the paper's 4,376 experiments, scored against the generator's
+// planted ground truth and pooled per mechanism -- the breakdown LULESH's
+// hand-seeded sites cannot offer.  The paper-reproduction harness (the
+// LULESH campaign at integration-test scale) runs alongside as the
+// baseline, and every mechanism pool's recall must be at least the LULESH
+// aggregate recall.
 //
-// Phase B (scoring): the Table-5 injection methodology runs over a
-// generated corpus sized to >= 10x the paper's 4,376 experiments, scored
-// against the generator's planted ground truth and pooled per mechanism
-// -- the breakdown LULESH's hand-seeded sites cannot offer.  The
-// paper-reproduction harness (the LULESH campaign at integration-test
-// scale) runs alongside as the baseline, and every mechanism pool's
-// recall must be at least the LULESH aggregate recall.
+// That a generated space studies byte-identically solo, sharded and
+// through the study service is a ctest contract
+// (GenStudyTest.StudyIsBitwiseIdenticalAcrossShardsJobsAndSteal,
+// GenStudyTest.ShardedResumeStitchesTheGeneratedSpaceByteIdentically,
+// GenServe.ServedStudiesMatchSoloRunsByteForByte).
 
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
-#include "core/explorer.h"
 #include "core/injection.h"
-#include "core/report.h"
-#include "core/resultsdb.h"
-#include "dist/coordinator.h"
 #include "gen/generator.h"
 #include "gen/harness.h"
-#include "gen/suite.h"
 #include "lulesh/domain.h"
-#include "serve/request.h"
-#include "serve/service.h"
 #include "toolchain/compiler.h"
 
 using namespace flit;
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-std::string file_bytes(const std::filesystem::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-}  // namespace
-
 int main() {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "flit_bench_gen_frontier";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  // --- Phase A: a 1,024-kernel space through every engine ---------------
-  gen::GenSpec fleet_spec;
-  fleet_spec.seed = 2026;
-  fleet_spec.count = 1024;
-  fpsem::CodeModel model;
-  const auto fleet_start = std::chrono::steady_clock::now();
-  const auto fleet_kernels = gen::generate(fleet_spec);
-  const double gen_wall = seconds_since(fleet_start);
-  const auto installed = gen::register_kernels(model, fleet_kernels);
-  const gen::GenSuiteTest suite(gen::kSuiteTestName, installed);
-  const auto space = toolchain::mfem_study_space();
-
-  const std::filesystem::path solo_db_path = dir / "solo.tsv";
-  std::string solo_csv;
-  double solo_wall = 0.0;
-  {
-    core::ResultsDb db(solo_db_path);
-    core::SpaceExplorer explorer(&model, toolchain::mfem_baseline(),
-                                 toolchain::mfem_speed_reference(), 1);
-    core::ExploreOptions eo;
-    eo.db = &db;
-    const auto start = std::chrono::steady_clock::now();
-    const core::StudyResult study = explorer.explore(suite, space, eo);
-    solo_wall = seconds_since(start);
-    solo_csv = core::study_csv(study);
-    std::fprintf(stderr, "  [fleet] solo: %zu outcomes, %zu variable\n",
-                 study.outcomes.size(), study.variable_count());
-  }
-
-  const std::filesystem::path shard_db_path = dir / "sharded.tsv";
-  std::string shard_csv;
-  double shard_wall = 0.0;
-  {
-    core::ResultsDb db(shard_db_path);
-    dist::ShardOptions opts;
-    opts.shards = 4;
-    opts.jobs = 2;
-    opts.db = &db;
-    dist::ShardCoordinator coord(&model, toolchain::mfem_baseline(),
-                                 toolchain::mfem_speed_reference(), opts);
-    const auto start = std::chrono::steady_clock::now();
-    const dist::ShardedStudy sharded = coord.run(suite, space);
-    shard_wall = seconds_since(start);
-    shard_csv = core::study_csv(sharded.study);
-  }
-
-  // The service resolves tests by name, so the suite installs into the
-  // global model and registry for the serve leg.
-  const gen::InstalledSuite served = gen::install_suite(
-      fleet_spec, fpsem::global_code_model(), &core::global_test_registry());
-  (void)served;
-  serve::StudyRequest req;
-  req.id = "frontier";
-  req.tenant = "bench";
-  req.test = gen::kSuiteTestName;
-  serve::ServeOptions sopts;
-  sopts.state_dir = dir / "state";
-  sopts.shards = 4;
-  sopts.jobs = 2;
-  serve::StudyService service(&fpsem::global_code_model(),
-                              toolchain::mfem_baseline(),
-                              toolchain::mfem_speed_reference(), space,
-                              std::move(sopts));
-  const std::vector<serve::StudyRequest> reqs = {req};
-  const auto serve_start = std::chrono::steady_clock::now();
-  const serve::ServeReport sreport = service.run(reqs);
-  const double serve_wall = seconds_since(serve_start);
-
-  const bool csv_identical = shard_csv == solo_csv &&
-                             sreport.requests.at(0).csv == solo_csv;
-  const bool db_identical =
-      file_bytes(shard_db_path) == file_bytes(solo_db_path) &&
-      file_bytes(dir / "state" / "frontier.tsv") ==
-          file_bytes(solo_db_path);
-  if (!csv_identical || !db_identical) {
-    std::fprintf(stderr,
-                 "FATAL: the sharded or served generated-space study is "
-                 "not byte-identical to the solo run (csv %d, db %d)\n",
-                 csv_identical, db_identical);
-    return 1;
-  }
-  std::printf("generated fleet (%zu kernels, %zu compilations):\n",
-              fleet_kernels.size(), space.size());
-  std::printf("  solo    %7.3fs\n  4-shard %7.3fs\n  serve   %7.3fs"
-              "   (all byte-identical)\n",
-              solo_wall, shard_wall, serve_wall);
-
-  // --- Phase B: the scored campaign at >= 10x Table 5's scale -----------
   gen::GenSpec score_spec;
   score_spec.seed = 8;
   score_spec.count = 1536;
   const auto score_kernels = gen::generate(score_spec);
   const toolchain::Compilation build{toolchain::gcc(),
                                      toolchain::OptLevel::O2, ""};
-  const auto campaign_start = std::chrono::steady_clock::now();
   const gen::GenCampaignResult res =
       gen::run_injection_campaign(score_kernels, build);
-  const double campaign_wall = seconds_since(campaign_start);
 
   constexpr std::size_t kPaperExperiments = 4376;
   if (res.experiments < 10 * kPaperExperiments) {
@@ -179,16 +54,13 @@ int main() {
   core::InjectionCampaign lulesh_campaign(&fpsem::global_code_model(),
                                           &lulesh_test, build);
   lulesh_campaign.set_scope(lulesh::lulesh_source_files());
-  const auto lulesh_start = std::chrono::steady_clock::now();
   const auto lulesh_summary =
       core::InjectionCampaign::summarize(lulesh_campaign.run_all());
-  const double lulesh_wall = seconds_since(lulesh_start);
 
-  std::printf("\nscored campaign (%zu kernels, %zu sites, %zu experiments"
-              " = %.1fx Table 5; %.3fs):\n",
+  std::printf("scored campaign (%zu kernels, %zu sites, %zu experiments"
+              " = %.1fx Table 5):\n",
               score_kernels.size(), res.sites, res.experiments,
-              static_cast<double>(res.experiments) / kPaperExperiments,
-              campaign_wall);
+              static_cast<double>(res.experiments) / kPaperExperiments);
   std::printf("  %-18s %8s %8s %10s %8s\n", "mechanism", "kernels",
               "sites", "precision", "recall");
   for (const gen::MechanismScore& pool : res.per_mechanism) {
@@ -201,9 +73,9 @@ int main() {
               score_kernels.size(), res.sites, res.total.precision(),
               res.total.recall());
   std::printf("  LULESH baseline: precision %.3f recall %.3f "
-              "(%d experiments, %.3fs)\n",
+              "(%d experiments)\n",
               lulesh_summary.precision(), lulesh_summary.recall(),
-              lulesh_summary.total, lulesh_wall);
+              lulesh_summary.total);
 
   // Every mechanism pool must score at least as well as the fixed
   // application's aggregate -- the frontier is only a frontier if the
@@ -218,23 +90,5 @@ int main() {
       return 1;
     }
   }
-
-  std::printf(
-      "BENCH_JSON {\"bench\":\"gen_frontier\",\"fleet_kernels\":%zu,"
-      "\"space\":%zu,\"solo_wall_s\":%.6f,\"shard_wall_s\":%.6f,"
-      "\"serve_wall_s\":%.6f,\"identical\":true,"
-      "\"score_kernels\":%zu,\"sites\":%zu,\"experiments\":%zu,"
-      "\"paper_experiments\":%zu,\"campaign_wall_s\":%.6f,"
-      "\"precision\":%.4f,\"recall\":%.4f,"
-      "\"lulesh_precision\":%.4f,\"lulesh_recall\":%.4f}\n",
-      fleet_kernels.size(), space.size(), solo_wall, shard_wall,
-      serve_wall, score_kernels.size(), res.sites, res.experiments,
-      kPaperExperiments, campaign_wall, res.total.precision(),
-      res.total.recall(), lulesh_summary.precision(),
-      lulesh_summary.recall());
-  std::fprintf(stderr, "  [gen] generated %zu+%zu kernels in %.3fs\n",
-               fleet_kernels.size(), score_kernels.size(), gen_wall);
-
-  std::filesystem::remove_all(dir);
   return 0;
 }

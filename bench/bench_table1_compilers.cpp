@@ -1,13 +1,16 @@
 // Reproduces Table 1: per-compiler variable-run counts over the
 // 244-compilation x 19-example MFEM study, the best average flags (chosen
 // by best average speedup across all examples), and that speedup relative
-// to g++ -O2.
+// to g++ -O2.  A digest over every outcome's exact variability and
+// modeled cycles pins the whole study, so no result bit or cycle can
+// drift unseen in the golden gate.
 
 #include <cstdio>
 #include <map>
 #include <string>
 
 #include "mfem_study_common.h"
+#include "toolchain/semantics_rules.h"
 
 using namespace flit;
 
@@ -21,9 +24,16 @@ int main() {
   std::map<std::string, PerCompiler> stats;
   // Best average speedup per (compiler, opt+flag) over all examples.
   std::map<std::string, std::map<std::string, double>> speedup_sums;
+  // Every outcome's compilation, exact variability and exact modeled
+  // cycles, in study order.
+  std::string outcome_bytes;
+  char buf[96];
 
   for (const core::StudyResult& r : study.results) {
+    outcome_bytes += r.test_name + "\n";
     for (const core::CompilationOutcome& o : r.outcomes) {
+      std::snprintf(buf, sizeof buf, " %La %a\n", o.variability, o.cycles);
+      outcome_bytes += o.comp.str() + buf;
       auto& s = stats[o.comp.compiler.name];
       ++s.runs;
       if (!o.bitwise_equal()) ++s.variable;
@@ -60,6 +70,10 @@ int main() {
                 released, s.variable, s.runs,
                 100.0 * s.variable / s.runs, best_cfg.c_str(), best_avg);
   }
+  std::printf("\noutcome digest (FNV-1a over every outcome's exact "
+              "variability and cycles): %016llx\n",
+              static_cast<unsigned long long>(
+                  toolchain::stable_hash(outcome_bytes)));
   std::printf(
       "\nPaper reference: g++ 78/1288 (6.0%%) [-O2 -funsafe-math-"
       "optimizations, 1.097]\n"

@@ -1,10 +1,8 @@
 // Reproduces Table 2: FLiT Bisect run on every variability-inducing
 // compilation found by the MFEM study, characterized per compiler --
 // average test executions, File Bisect success rate and Symbol Bisect
-// success rate (a failure means the mixed executable crashed).
-//
-// Set FLIT_BENCH_MAX_BISECTS to cap the number of (example, compilation)
-// searches per compiler for a faster smoke run.
+// success rate (a failure means the mixed executable crashed) -- plus
+// the total executions behind each average.
 //
 // The searches run on a 4-lane ThreadPool over one shared CompilationCache
 // and ProbeMemo.  Executions are logical (memo hits still count), and the
@@ -12,8 +10,6 @@
 // run.
 
 #include <cstdio>
-#include <climits>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,12 +36,6 @@ int main() {
   };
   std::map<std::string, PerCompiler> stats;
 
-  long cap = LONG_MAX;
-  if (const char* env = std::getenv("FLIT_BENCH_MAX_BISECTS")) {
-    cap = std::atol(env);
-  }
-  std::map<std::string, long> used;
-
   // Every (example, variable compilation) search, in study order.
   struct Search {
     const mfemini::MfemExampleTest* test;
@@ -57,9 +47,7 @@ int main() {
     tests.push_back(std::make_unique<mfemini::MfemExampleTest>(ex));
     const core::StudyResult& r = study.results[tests.size() - 1];
     for (const core::CompilationOutcome& o : r.outcomes) {
-      if (o.bitwise_equal()) continue;
-      if (used[o.comp.compiler.name]++ >= cap) continue;
-      searches.push_back({tests.back().get(), &o});
+      if (!o.bitwise_equal()) searches.push_back({tests.back().get(), &o});
     }
   }
 
@@ -134,6 +122,9 @@ int main() {
     }
     std::printf(" %10.0f\n", ts > 0 ? double(te) / ts : 0.0);
   }
+  row("total test executions", [](const PerCompiler& s) {
+    return double(s.executions);
+  });
   row("File Bisect attempts", [](const PerCompiler& s) {
     return double(s.file_attempts);
   });

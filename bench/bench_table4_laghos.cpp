@@ -4,10 +4,16 @@
 // sweeping the digit restriction of the comparison (2/3/5/all significant
 // digits) and the BisectBiggest k (1/2/all).  Reported: number of found
 // files, found functions, and program executions.
+//
+// The 36 searches are independent, so they run on a 4-lane ThreadPool and
+// the table prints in grid order.
 
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "core/hierarchy.h"
+#include "core/parallel.h"
 #include "laghos/hydro.h"
 #include "toolchain/compiler.h"
 
@@ -34,35 +40,44 @@ int main() {
               "# files (k=1,2,all)", "# funcs (k=1,2,all)",
               "# runs (k=1,2,all)");
 
-  for (const auto& b : baselines) {
-    for (int digits : digit_cases) {
-      int files[3] = {0, 0, 0};
-      int funcs[3] = {0, 0, 0};
-      int runs[3] = {0, 0, 0};
-      for (int ki = 0; ki < 3; ++ki) {
-        core::BisectConfig cfg;
-        cfg.baseline = b.comp;
-        cfg.variable = toolchain::laghos_variable_xlc();
-        cfg.scope = laghos::laghos_source_files();
-        cfg.k = k_cases[ki];
-        cfg.digits = digits;
-        core::BisectDriver driver(&fpsem::global_code_model(), &test, cfg);
-        const auto out = driver.run();
-        files[ki] = static_cast<int>(out.findings.size());
-        for (const auto& ff : out.findings) {
-          funcs[ki] += static_cast<int>(ff.symbols.size());
-        }
-        runs[ki] = out.executions;
-      }
+  struct Found {
+    int files = 0;
+    int funcs = 0;
+    int runs = 0;
+  };
+  const std::size_t kDigits = std::size(digit_cases);
+  const std::size_t kKs = std::size(k_cases);
+  std::vector<Found> found(std::size(baselines) * kDigits * kKs);
+  core::ThreadPool pool(4);
+  pool.parallel_for(found.size(), [&](std::size_t i) {
+    core::BisectConfig cfg;
+    cfg.baseline = baselines[i / (kDigits * kKs)].comp;
+    cfg.variable = toolchain::laghos_variable_xlc();
+    cfg.scope = laghos::laghos_source_files();
+    cfg.k = k_cases[i % kKs];
+    cfg.digits = digit_cases[i / kKs % kDigits];
+    core::BisectDriver driver(&fpsem::global_code_model(), &test, cfg);
+    const auto out = driver.run();
+    found[i].files = static_cast<int>(out.findings.size());
+    for (const auto& ff : out.findings) {
+      found[i].funcs += static_cast<int>(ff.symbols.size());
+    }
+    found[i].runs = out.executions;
+  });
+
+  for (std::size_t b = 0; b < std::size(baselines); ++b) {
+    for (std::size_t d = 0; d < kDigits; ++d) {
+      const Found* f = &found[(b * kDigits + d) * kKs];
       char dig[8];
-      if (digits == 0) {
+      if (digit_cases[d] == 0) {
         std::snprintf(dig, sizeof dig, "all");
       } else {
-        std::snprintf(dig, sizeof dig, "%d", digits);
+        std::snprintf(dig, sizeof dig, "%d", digit_cases[d]);
       }
       std::printf("%-18s %-7s | %5d %5d %5d  | %5d %5d %5d  | %5d %5d %5d\n",
-                  b.label, dig, files[0], files[1], files[2], funcs[0],
-                  funcs[1], funcs[2], runs[0], runs[1], runs[2]);
+                  baselines[b].label, dig, f[0].files, f[1].files,
+                  f[2].files, f[0].funcs, f[1].funcs, f[2].funcs, f[0].runs,
+                  f[1].runs, f[2].runs);
     }
   }
   std::printf(

@@ -4,8 +4,6 @@
 // Table 2): runs the 19 mini-MFEM examples over the 244-compilation space
 // exactly once per binary and exposes the per-example StudyResults.
 
-#include <chrono>
-#include <cstdio>
 #include <vector>
 
 #include "core/explorer.h"
@@ -19,22 +17,16 @@ struct MfemStudy {
   std::vector<core::StudyResult> results;  ///< index 0 = example 1
 };
 
-/// Runs every example over the full space (prints progress to stderr).
+/// Runs every example over the full space.
 inline MfemStudy run_mfem_study() {
   MfemStudy study;
   study.space = toolchain::mfem_study_space();
   core::SpaceExplorer explorer(&fpsem::global_code_model(),
                                toolchain::mfem_baseline(),
                                toolchain::mfem_speed_reference());
-  const auto t0 = std::chrono::steady_clock::now();
   for (int ex = 1; ex <= mfemini::kNumExamples; ++ex) {
     mfemini::MfemExampleTest test(ex);
     study.results.push_back(explorer.explore(test, study.space));
-    std::fprintf(stderr, "  [mfem-study] example %2d/%d done (%.1fs)\n", ex,
-                 mfemini::kNumExamples,
-                 std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
   }
   return study;
 }

@@ -63,20 +63,6 @@ std::string ProbeMemo::key_of_build(const std::string& test_name,
   return key;
 }
 
-std::optional<ProbeMemo::Entry> ProbeMemo::lookup(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++probes_;
-  const auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  ++hits_;
-  return it->second;
-}
-
-void ProbeMemo::store(const std::string& key, Entry entry) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  map_.try_emplace(key, std::move(entry));
-}
-
 ProbeMemo::Answer ProbeMemo::probe(const std::string& key,
                                    const std::function<Entry()>& run) {
   {

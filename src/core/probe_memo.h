@@ -60,7 +60,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -84,7 +83,7 @@ class ProbeMemo {
   };
 
   struct Stats {
-    std::uint64_t probes = 0;   ///< lookup() and probe() calls
+    std::uint64_t probes = 0;   ///< probe() calls
     std::uint64_t hits = 0;     ///< of which answered from cache
     std::uint64_t entries = 0;  ///< distinct executables stored (real runs)
   };
@@ -110,15 +109,6 @@ class ProbeMemo {
   /// equal to any key_of() key.
   [[nodiscard]] static std::string key_of_build(
       const std::string& test_name, const toolchain::Compilation& c);
-
-  /// Returns the stored answer for `key`, if any.  Counts a probe, and a
-  /// hit on success.
-  [[nodiscard]] std::optional<Entry> lookup(const std::string& key);
-
-  /// Stores `entry` under `key`.  First store wins; concurrent probes of
-  /// the same key compute identical entries, so dropping the repeat is
-  /// harmless.
-  void store(const std::string& key, Entry entry);
 
   /// Single-flight probe: answers `key` from the memo, waiting for an
   /// in-flight prober of the same key; otherwise claims it, calls `run`

@@ -1,6 +1,7 @@
 #include "core/resultsdb.h"
 
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -49,11 +50,16 @@ void format_row(const ResultRow& r, std::string* out) {
   out->push_back('\n');
 }
 
-/// Whether strtod/strtold consumed all of `field`, their input: `end ==
-/// c_str()` alone let a corrupted "1.5junk" speedup load silently as 1.5,
-/// and a NUL byte inside the field would end it early.
-bool consumed(const std::string& field, const char* end) {
-  return end != field.c_str() && end == field.c_str() + field.size();
+/// Whether strtod/strtold, stopping at `end`, parsed all of `field` in a
+/// form a save writes.  `end == c_str()` alone let a corrupted "1.5junk"
+/// speedup load silently as 1.5, and a NUL byte inside the field would
+/// end it early.  A save never writes leading whitespace, a '+' or a hex
+/// float, so a byte flip that turned "1.5" into " .5" must not load as
+/// 0.5; inf, nan and hand-written decimals such as "1e-12" still load.
+bool well_formed(const std::string& field, const char* end) {
+  return end != field.c_str() && end == field.c_str() + field.size() &&
+         std::isspace(static_cast<unsigned char>(field[0])) == 0 &&
+         field[0] != '+' && field.find_first_of("xX") == std::string::npos;
 }
 
 /// Writes `text` to `path`, opened with `mode`, and closes it: the bytes
@@ -106,9 +112,9 @@ bool parse_row(std::string_view line, bool v1, ResultRow* row) {
   const std::string variability(f[3]);
   char* end = nullptr;
   row->speedup = std::strtod(speedup.c_str(), &end);
-  if (!consumed(speedup, end)) return false;
+  if (!well_formed(speedup, end)) return false;
   row->variability = std::strtold(variability.c_str(), &end);
-  return consumed(variability, end);
+  return well_formed(variability, end);
 }
 
 /// Whether `a` and `b` write the same line.  Equal rows do unless a

@@ -253,7 +253,7 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
 
     core::StudyResult merged;
     merged.test_name = e.test_name;
-    merged.outcomes = e.outcomes;
+    merged.outcomes = std::move(e.outcomes);  // nothing reads them again
 
     RequestReport rr;
     rr.id = req.id;
@@ -310,7 +310,6 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
     m_completed.add();
 
     rr.study = std::move(merged);
-    report.requests[e.req_index] = rr;
 
     // Followers share the primary's results byte-for-byte: the payload
     // key is the whole study input, so a solo run of the follower's
@@ -340,6 +339,8 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
       ++report.deduplicated;
       m_completed.add();
     }
+    // Last: the followers copied rr and done_line reads it.
+    report.requests[e.req_index] = std::move(rr);
     // The database is on disk and followers copied the file; its rows and
     // index would otherwise stay resident until the stream ends.
     e.db.reset();

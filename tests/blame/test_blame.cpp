@@ -1,8 +1,9 @@
 // The blame-dedup campaign suite (ctest label "blame"):
 //   * ProbeMemo keying and sharing semantics -- the key covers exactly
-//     the linked executable's behavioural content, first store wins,
-//     concurrent misses on one key run it once, and probes answered from
-//     the memo still count as logical executions,
+//     the linked executable's behavioural content, concurrent misses on
+//     one key run it once, a run that throws leaves the key to the next
+//     prober, and probes answered from the memo still count as logical
+//     executions,
 //   * concurrent BisectDrivers over one CompilationCache + ProbeMemo
 //     produce findings and `executions` counts identical to a serial
 //     memo-less run (the satellite contract),
@@ -85,29 +86,6 @@ TEST(ProbeMemo, KeyCoversTestNameSemanticsCostAndCrashState) {
   toolchain::Executable injected = make_exe(3, base);
   injected.from_injected[1] = true;
   EXPECT_NE(k, core::ProbeMemo::key_of("T", injected));
-}
-
-TEST(ProbeMemo, FirstStoreWinsAndStatsCountProbes) {
-  core::ProbeMemo memo;
-  EXPECT_FALSE(memo.lookup("k").has_value());
-
-  core::RunOutput out;
-  out.cycles = 7.0;
-  memo.store("k", core::ProbeMemo::Entry{false, "", out});
-
-  core::RunOutput other;
-  other.cycles = 99.0;
-  memo.store("k", core::ProbeMemo::Entry{false, "", other});
-
-  const auto hit = memo.lookup("k");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_FALSE(hit->crashed);
-  EXPECT_EQ(hit->output.cycles, 7.0);
-
-  const core::ProbeMemo::Stats s = memo.stats();
-  EXPECT_EQ(s.probes, 2u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.entries, 1u);
 }
 
 core::ProbeMemo::Entry answer_with_cycles(double cycles) {

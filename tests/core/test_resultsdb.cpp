@@ -386,6 +386,51 @@ TEST_F(ResultsDbTest, CarriageReturnInReasonOrNulInNumberIsMalformed) {
   }
 }
 
+TEST_F(ResultsDbTest, NumberFormsASaveNeverWritesAreMalformed) {
+  // strtod and strtold skip leading whitespace and take a '+' and hex
+  // floats, so these rows would load as 0.5, 1, 0.125 and 0.125; a save
+  // writes none of those forms.
+  const std::string header =
+      "test\tcompilation\tspeedup\tvariability\tstatus\treason\n";
+  const std::string good = "T2\tg++ -O2\t1\t0\tok\t\n";
+  const std::string bad_rows[] = {
+      "T1\tg++ -O2\t .5\t0\tok\t\n",
+      "T1\tg++ -O2\t+1e0\t0\tok\t\n",
+      "T1\tg++ -O2\t1\t 0x1p-3\tok\t\n",
+      "T1\tg++ -O2\t0X1P-3\t0\tok\t\n",
+  };
+  for (const std::string& bad : bad_rows) {
+    test::write_file(path_, header + bad + good);
+    EXPECT_NE(load_error(path_).find("malformed row at line 2 of"),
+              std::string::npos)
+        << bad;
+
+    // As the last row it is what a torn append leaves: dropped, with the
+    // warning naming its line.
+    test::write_file(path_, header + good + bad);
+    ::testing::internal::CaptureStderr();
+    const ResultsDb db(path_);
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(db.size(), 1u) << bad;
+    EXPECT_NE(warning.find("dropping malformed trailing row at line 3 of"),
+              std::string::npos)
+        << bad;
+  }
+
+  // Every form a save writes still loads, and so do hand-written
+  // decimals such as the v1 fixture's "1e-12".
+  test::write_file(path_, header +
+                              "T1\tg++ -O0\tinf\t-0\tok\t\n"
+                              "T1\tg++ -O1\t-inf\tnan\tok\t\n"
+                              "T1\tg++ -O2\t1.25\t1e-12\tok\t\n"
+                              "T1\tg++ -O3\t-nan\t2.5e-300\tok\t\n");
+  const ResultsDb db(path_);
+  ASSERT_EQ(db.size(), 4u);
+  EXPECT_TRUE(std::isinf(db.find("T1", "g++ -O1")->speedup));
+  EXPECT_TRUE(std::isnan(db.find("T1", "g++ -O1")->variability));
+  EXPECT_EQ(db.find("T1", "g++ -O2")->variability, 1e-12L);
+}
+
 TEST_F(ResultsDbTest, EveryRecordLeavesTheRenderedRows) {
   // Appends, in-place changes, merges, reopens, a v1 upgrade and a torn
   // tail: after every record() the file is the header plus rows() as a
