@@ -5,6 +5,7 @@
 // link step makes every icpc compilation variable.
 
 #include <cstdio>
+#include <string>
 
 #include "mfem_study_common.h"
 
@@ -19,7 +20,13 @@ int main() {
   std::printf("%-4s %-12s %-12s %-12s %-12s %s\n", "ex", "clang++ eq",
               "g++ eq", "icpc eq", "any variable", "winner");
 
+  // A variable compilation is "noticeably" faster (the paper's word)
+  // when it beats the best bitwise-equal bar by more than this factor.
+  constexpr double kNoticeably = 1.05;
+
   int equal_wins = 0, variable_wins = 0, no_variable = 0, missing_icpc = 0;
+  int noticeably_faster = 0;
+  std::string noticeable_examples;
   for (int ex = 1; ex <= mfemini::kNumExamples; ++ex) {
     const core::StudyResult& r = study.results[static_cast<std::size_t>(ex - 1)];
     const auto* c = r.fastest_equal("clang++");
@@ -49,6 +56,10 @@ int main() {
     } else if (v->speedup > best_eq) {
       winner = "VARIABLE";
       ++variable_wins;
+      if (v->speedup > kNoticeably * best_eq) {
+        noticeable_examples +=
+            (noticeably_faster++ == 0 ? "" : ", ") + std::to_string(ex);
+      }
     } else {
       ++equal_wins;
     }
@@ -67,5 +78,10 @@ int main() {
       "examples missing the icpc bitwise-equal bar (Intel link step): %d "
       "(paper: 5 -- examples 4, 5, 9, 10, 15)\n",
       missing_icpc);
+  std::printf(
+      "examples whose fastest variable compilation beats the best "
+      "bitwise-equal bar by more than 5%%: %d (examples %s; paper: 2 "
+      "noticeably faster)\n",
+      noticeably_faster, noticeable_examples.c_str());
   return 0;
 }

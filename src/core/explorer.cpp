@@ -199,17 +199,18 @@ StudyResult SpaceExplorer::explore(
   StudyResult result;
   result.test_name = test.name();
 
-  if (!opts.global_indices.empty() &&
-      opts.global_indices.size() != space.size()) {
-    throw std::invalid_argument(
-        "explore: " + std::to_string(opts.global_indices.size()) +
-        " global indices for a " + std::to_string(space.size()) +
-        "-item slice");
+  for (const std::size_t p : opts.indices) {
+    if (p >= space.size()) {
+      throw std::invalid_argument(
+          "explore: position " + std::to_string(p) + " is outside a " +
+          std::to_string(space.size()) + "-item space");
+    }
   }
-  // The telemetry index of slice element i (the item's global identity).
-  const auto global_index = [&](std::size_t i) {
-    return opts.global_indices.empty() ? opts.obs_index_base + i
-                                       : opts.global_indices[i];
+  // Claimed items, and the space position of item k (its global identity).
+  const std::size_t items =
+      opts.indices.empty() ? space.size() : opts.indices.size();
+  const auto position = [&](std::size_t k) {
+    return opts.indices.empty() ? k : opts.indices[k];
   };
 
   // Study-level accounting.  Counter handles are stable across
@@ -247,7 +248,7 @@ StudyResult SpaceExplorer::explore(
   const RunOutput& base = anchor_memo_->base;
   const RunOutput& ref = anchor_memo_->ref;
 
-  result.outcomes.resize(space.size());
+  result.outcomes.resize(items);
 
   // Resume: prefill outcomes already recorded for this test (quarantined
   // rows included -- a failure that exhausted its retry budget once is
@@ -255,26 +256,28 @@ StudyResult SpaceExplorer::explore(
   // are the exception: the fleet supervisor records them when it ran out
   // of live ranks, so the item itself was never attempted -- a resume
   // re-runs it rather than locking the infrastructure failure in.
-  std::vector<char> prefilled(space.size(), 0);
+  std::vector<char> prefilled(items, 0);
   if (opts.db != nullptr && opts.resume) {
-    for (std::size_t i = 0; i < space.size(); ++i) {
-      const auto row = opts.db->find(result.test_name, space[i].str());
+    for (std::size_t k = 0; k < items; ++k) {
+      const toolchain::Compilation& c = space[position(k)];
+      const auto row = opts.db->find(result.test_name, c.str());
       if (!row.has_value()) continue;
       if (row->status == OutcomeStatus::Degraded) continue;
-      CompilationOutcome& o = result.outcomes[i];
-      o.comp = space[i];
+      CompilationOutcome& o = result.outcomes[k];
+      o.comp = c;
       o.speedup = row->speedup;
       o.variability = row->variability;
       o.status = row->status;
       o.reason = row->reason;
-      prefilled[i] = 1;
+      prefilled[k] = 1;
+      ++result.resumed;
       m_resumed.add();
     }
   }
 
-  const auto run_item = [&](std::size_t i) {
-    const toolchain::Compilation& c = space[i];
-    CompilationOutcome& o = result.outcomes[i];
+  const auto run_item = [&](std::size_t k) {
+    const toolchain::Compilation& c = space[position(k)];
+    CompilationOutcome& o = result.outcomes[k];
     o.comp = c;
 
     const RunOutput* reused = nullptr;
@@ -291,9 +294,9 @@ StudyResult SpaceExplorer::explore(
     for (int attempt = 0; attempt < attempts; ++attempt) {
       FaultInjector::ScopedTrial trial(result.test_name + "|" + c.str(),
                                        attempt);
-      // The telemetry stamp: the item's *global* identity (shard + global
-      // space index), mirroring the trial context above.
-      obs::ScopedItem obs_item(opts.obs_shard, global_index(i), attempt);
+      // The telemetry stamp: the item's *global* identity (shard + space
+      // position), mirroring the trial context above.
+      obs::ScopedItem obs_item(opts.obs_shard, position(k), attempt);
       obs::Span span(obs::tracer_if_enabled(), "compilation", "explore",
                      c.str());
       m_attempts.add();
@@ -337,35 +340,32 @@ StudyResult SpaceExplorer::explore(
   ThreadPool pool(jobs_);
   const std::size_t batch =
       opts.db != nullptr && opts.checkpoint_batch > 0 ? opts.checkpoint_batch
-                                                      : space.size();
-  std::size_t batch_ordinal = opts.checkpoint_ordinal_base;
-  for (std::size_t start = 0; start < space.size(); start += batch) {
-    const std::size_t n = std::min(batch, space.size() - start);
+                                                      : items;
+  for (std::size_t start = 0; start < items; start += batch) {
+    const std::size_t n = std::min(batch, items - start);
     pool.parallel_for(n, [&](std::size_t j) {
-      const std::size_t i = start + j;
-      if (!prefilled[i]) run_item(i);
+      const std::size_t k = start + j;
+      if (!prefilled[k]) run_item(k);
     });
 
-    if (opts.db != nullptr) {
-      // Checkpoint the freshly computed slice (resumed rows are already
-      // on disk), so a killed study loses at most one batch.
-      StudyResult slice;
-      slice.test_name = result.test_name;
-      for (std::size_t i = start; i < start + n; ++i) {
-        if (!prefilled[i]) slice.outcomes.push_back(result.outcomes[i]);
-      }
-      if (!slice.outcomes.empty()) opts.db->record(slice);
-
-      ++batch_ordinal;
-      if (FaultInjector::global().should_kill(batch_ordinal)) {
-        // The kill switch of the resume smoke test: die the way SIGKILL
-        // would, after the checkpoint is durably on disk.
-        std::fprintf(stderr,
-                     "explore: injected kill after checkpoint batch %zu\n",
-                     batch_ordinal);
-        std::fflush(nullptr);
-        std::_Exit(137);
-      }
+    if (opts.db == nullptr) continue;
+    // Checkpoint the freshly computed slice (resumed rows are already on
+    // disk), so a killed study loses at most one batch.
+    StudyResult slice;
+    slice.test_name = result.test_name;
+    for (std::size_t k = start; k < start + n; ++k) {
+      if (!prefilled[k]) slice.outcomes.push_back(result.outcomes[k]);
+    }
+    if (slice.outcomes.empty()) continue;
+    opts.db->record(slice);
+    if (FaultInjector::global().should_kill(opts.db->records())) {
+      // The kill switch of the resume smoke test: die the way SIGKILL
+      // would, after the checkpoint is durably on disk.
+      std::fprintf(stderr,
+                   "explore: injected kill after checkpoint batch %zu\n",
+                   opts.db->records());
+      std::fflush(nullptr);
+      std::_Exit(137);
     }
   }
   return result;

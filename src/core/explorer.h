@@ -94,6 +94,11 @@ struct StudyResult {
   std::string test_name;
   std::vector<CompilationOutcome> outcomes;
 
+  /// Outcomes the explore() call that returned this result restored from
+  /// its database instead of running them (a resume).  Studies merged
+  /// from several calls (the sharded engine's, the service's) leave it 0.
+  std::size_t resumed = 0;
+
   /// Outcomes that ran and differ from the baseline (failures excluded).
   [[nodiscard]] std::size_t variable_count() const;
 
@@ -140,10 +145,12 @@ struct ExploreOptions {
 
   /// Checkpoint target: when non-null, outcomes are recorded into the
   /// database after every completed batch, so a killed study loses at
-  /// most one batch.  Must outlive the explore() call.
+  /// most one batch.  The injector's kill site (FLIT_FAULTS=kill:N) fires
+  /// once the database has recorded N checkpoints, however many explore()
+  /// calls recorded them.  Must outlive the explore() call.
   ResultsDb* db = nullptr;
 
-  /// With `db`: skip space entries whose (test, compilation) row is
+  /// With `db`: skip claimed items whose (test, compilation) row is
   /// already recorded (including quarantined rows -- failures are not
   /// re-run), prefilling their outcomes from the database.
   bool resume = false;
@@ -152,33 +159,18 @@ struct ExploreOptions {
   /// checkpoint).  Ignored without a database.
   std::size_t checkpoint_batch = 32;
 
-  /// Checkpoint ordinals already consumed by earlier explore() calls
-  /// against the same database.  The injector's kill site counts
-  /// checkpoint batches (FLIT_FAULTS=kill:N), and the work-stealing
-  /// engine splits one shard's work across many explore() calls -- each
-  /// claimed sub-range is its own call -- so the shard threads its running
-  /// batch count through here to keep the kill firing at the N-th durable
-  /// checkpoint of the *shard*, not of whichever sub-range happens to be
-  /// N batches long.
-  std::size_t checkpoint_ordinal_base = 0;
-
-  /// Telemetry stamping only -- strictly off the result path.  The shard
-  /// that owns this explore call and the global space index of slice
-  /// element 0, so trace events carry the study item's *global* identity
-  /// even when the sharded engine hands each explorer a sub-slice (the
-  /// same invariance the fault injector gets from "test|triple" contexts).
+  /// Telemetry stamping only -- strictly off the result path: the shard
+  /// that owns this explore call.
   int obs_shard = 0;
-  std::size_t obs_index_base = 0;
 
-  /// Non-contiguous slices (the placement engine's cost/affinity
-  /// partitions hand a rank an arbitrary index set): when non-empty, slice
-  /// element i is global space item global_indices[i] and its telemetry
-  /// stamp uses that index instead of obs_index_base + i.  Must match the
-  /// slice length exactly (explore() throws std::invalid_argument
-  /// otherwise); still telemetry-only -- results are merged by slice
-  /// position, and fault-injection identity is the "test|triple" string,
-  /// which no index permutation can change.
-  std::span<const std::size_t> global_indices{};
+  /// The claim: positions into the space, run and returned in this order;
+  /// empty claims every position.  Item k runs space[indices[k]] and its
+  /// trace events are stamped with indices[k], the item's global
+  /// identity, however the sharded engine or the service cut the space
+  /// (fault-injection identity is the "test|triple" string, which no cut
+  /// can change).  explore() throws std::invalid_argument for a position
+  /// outside the space.
+  std::span<const std::size_t> indices{};
 };
 
 class SpaceExplorer {
@@ -199,12 +191,13 @@ class SpaceExplorer {
                 toolchain::CompilationCache* cache = nullptr,
                 ProbeMemo* memo = nullptr);
 
-  /// Runs `test` under every compilation in `space` on `jobs()` lanes.
-  /// Whole-program builds: all files under the compilation, linked by its
-  /// compiler.  Compilations equal to the baseline or the speed reference
-  /// reuse those runs instead of re-executing.  Outcomes are merged in
-  /// space order: the result is bitwise-identical at any jobs count, with
-  /// or without faults, retries, or a resume in the middle.
+  /// Runs `test` under each compilation of `space` that `opts.indices`
+  /// claims (every one by default) on `jobs()` lanes.  Whole-program
+  /// builds: all files under the compilation, linked by its compiler.
+  /// Compilations equal to the baseline or the speed reference reuse
+  /// those runs instead of re-executing.  Outcomes are merged in claim
+  /// order: the result is bitwise-identical at any jobs count, with or
+  /// without faults, retries, or a resume in the middle.
   ///
   /// Per-item failures are contained per `opts.keep_going`; anchor
   /// failures throw StudyAbort.
@@ -260,7 +253,7 @@ class SpaceExplorer {
   /// Anchor-run memo for the last explored test.  Runs are deterministic,
   /// so reusing an anchor run is observationally identical to re-running
   /// it; the memo makes repeated explore() calls against the same test --
-  /// the work-stealing engine issues one per claimed sub-range -- pay the
+  /// the work-stealing engine issues one per claim -- pay the
   /// two anchor runs once per explorer instead of once per call.  Accessed
   /// only from the thread driving explore() (item lanes never touch it).
   struct AnchorMemo {

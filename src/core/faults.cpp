@@ -183,11 +183,10 @@ void FaultInjector::maybe_fail(FaultSite site, const std::string& key) const {
                                 to_string(site) + " step failed for " + key);
 }
 
-bool FaultInjector::should_kill(std::size_t batch_ordinal) const {
+bool FaultInjector::should_kill(std::size_t checkpoints) const {
   if (!any_armed()) return false;
   const SiteSpec spec = site_spec(FaultSite::Kill);
-  return spec.armed &&
-         batch_ordinal >= static_cast<std::size_t>(spec.rate);
+  return spec.armed && checkpoints >= static_cast<std::size_t>(spec.rate);
 }
 
 FaultInjector& FaultInjector::global() {

@@ -108,9 +108,10 @@ class FaultInjector {
   void maybe_fail(FaultSite site, const std::string& key) const;
 
   /// Kill switch for the checkpoint/resume smoke test: true when the Kill
-  /// site is armed and `batch_ordinal` (1-based) has reached the
-  /// configured threshold.  The caller is expected to _Exit.
-  [[nodiscard]] bool should_kill(std::size_t batch_ordinal) const;
+  /// site is armed and `checkpoints`, the number a database has recorded,
+  /// has reached the configured threshold.  The caller is expected to
+  /// _Exit.
+  [[nodiscard]] bool should_kill(std::size_t checkpoints) const;
 
   /// The process-global injector, configured once from the FLIT_FAULTS
   /// environment variable on first access.

@@ -45,7 +45,8 @@ std::string failure_report(const StudyResult& r) {
   // Degraded cells were never attempted (the fleet ran out of live
   // ranks), so they are reported apart from the quarantined items whose
   // every attempt failed.  With none, the line is byte-identical to the
-  // historical format.
+  // historical format.  No line prints an attempt count: the database
+  // does not store it, so a resumed study could not print the same one.
   os << "failure accounting: " << failed - degraded << " of "
      << r.outcomes.size() << " compilations quarantined, " << retried
      << " recovered by retry";
@@ -56,10 +57,9 @@ std::string failure_report(const StudyResult& r) {
       os << "  DEGRADED " << o.comp.str() << ": " << o.reason << '\n';
     } else if (o.failed()) {
       os << "  QUARANTINED " << o.comp.str() << " [" << to_string(o.status)
-         << " after " << o.attempts << " attempt(s)]: " << o.reason << '\n';
+         << "]: " << o.reason << '\n';
     } else if (o.status == OutcomeStatus::Retried) {
-      os << "  retried " << o.comp.str() << " (" << o.attempts
-         << " attempts): " << o.reason << '\n';
+      os << "  retried " << o.comp.str() << ": " << o.reason << '\n';
     }
   }
   return os.str();

@@ -272,6 +272,7 @@ void ResultsDb::record(const StudyResult& study) {
   } else {
     save();
   }
+  ++records_;
 }
 
 void ResultsDb::merge_rows(const std::vector<ResultRow>& rows) {

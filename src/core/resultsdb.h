@@ -70,6 +70,10 @@ class ResultsDb {
   /// test/compilation key) and persists them before returning.
   void record(const StudyResult& study);
 
+  /// record() calls this instance has made: the checkpoints the
+  /// injector's kill site counts.
+  [[nodiscard]] std::size_t records() const { return records_; }
+
   /// Upserts foreign rows in memory (same key semantics as record)
   /// without touching disk; they persist with the next record().  The
   /// work-stealing resume path seeds every shard's database with the
@@ -126,6 +130,7 @@ class ResultsDb {
   /// rows changes.
   std::optional<FileStamp> synced_file_;
   std::size_t synced_ = 0;
+  std::size_t records_ = 0;
 };
 
 }  // namespace flit::core

@@ -92,8 +92,7 @@ WorkflowReport run_workflow(const fpsem::CodeModel* model,
     // trace lane matches the explore-phase lane of the same compilation.
     const std::size_t space_index = static_cast<std::size_t>(
         to_bisect[i] - report.study.outcomes.data());
-    obs::ScopedItem obs_item(opts.explore.obs_shard,
-                             opts.explore.obs_index_base + space_index, 0);
+    obs::ScopedItem obs_item(opts.explore.obs_shard, space_index, 0);
     BisectConfig cfg;
     cfg.baseline = opts.baseline;
     cfg.variable = o.comp;

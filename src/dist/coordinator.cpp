@@ -37,7 +37,6 @@ struct Worker {
   std::unique_ptr<toolchain::CompilationCache> cache;
   std::unique_ptr<core::SpaceExplorer> explorer;
   std::unique_ptr<core::ResultsDb> db;  ///< null without checkpointing
-  std::size_t ordinal_base = 0;  ///< checkpoint batches already recorded
 };
 
 /// One supervised run's rank bookkeeping on the serial driver: the
@@ -59,8 +58,7 @@ class RankSupervisor {
   /// Called before rank `r` executes claim `c`.  Returns false when the
   /// rank was lost on the claim: the claim is back in the queue, and the
   /// rank is retired or restarted through `restart(r)`, which gives it a
-  /// fresh cache and explorer while its checkpoint database and
-  /// checkpoint-ordinal base persist.
+  /// fresh cache and explorer while its checkpoint database persists.
   template <class Restart>
   bool admit(std::size_t r, const StealQueue::Claim& c, Restart&& restart) {
     // Rank-level fault decision, hashed per (rank, incarnation, claim
@@ -364,45 +362,24 @@ ShardedStudy ShardCoordinator::run_impl(
       m.counter("dist.supervisor.reassigned_items").add(c.range.size());
     }
 
-    // The claim's global index set and dense compilation slice.
-    const std::span<const std::size_t> indices(order.data() + c.range.begin,
-                                               c.range.size());
-    std::vector<toolchain::Compilation> items;
-    items.reserve(indices.size());
-    for (std::size_t i : indices) items.push_back(space[i]);
-
+    // The claim is its positions' slice of `order`: global indices.
     core::ExploreOptions eo;
     eo.retry = opts_.retry;
     eo.keep_going = opts_.keep_going;
     eo.checkpoint_batch = opts_.checkpoint_batch;
     eo.obs_shard = static_cast<int>(r);
-    eo.obs_index_base = indices.empty() ? 0 : indices.front();
-    eo.global_indices = indices;
-    std::size_t claim_prefilled = 0;
+    eo.indices = std::span<const std::size_t>(order).subspan(
+        c.range.begin, c.range.size());
     if (w.db != nullptr) {
       eo.db = w.db.get();
       eo.resume = resume_shards;
-      // Number this claim's checkpoint batches after the rank's earlier
-      // claims, so the kill site counts durable checkpoints *per rank*.
-      eo.checkpoint_ordinal_base = w.ordinal_base;
-      const std::size_t batch = opts_.checkpoint_batch > 0
-                                    ? opts_.checkpoint_batch
-                                    : c.range.size();
-      w.ordinal_base += (c.range.size() + batch - 1) / batch;
-      if (resume_shards) {
-        for (const toolchain::Compilation& comp : items) {
-          if (w.db->find(test.name(), comp.str()).has_value()) {
-            ++claim_prefilled;
-          }
-        }
-      }
     }
 
-    core::StudyResult part = w.explorer->explore(test, items, eo);
+    core::StudyResult part = w.explorer->explore(test, space, eo);
     rep.failed += part.failed_count();
     rep.retried += part.retried_count();
-    rep.prefilled += claim_prefilled;
-    rep.executed_items += c.range.size() - claim_prefilled;
+    rep.prefilled += part.resumed;
+    rep.executed_items += c.range.size() - part.resumed;
     // The modeled-cycle skew sample: executed ok outcomes only.  Resumed
     // rows carry no cycle measurement (the checkpoint database stores
     // classifications, not cycles), and fresh_cycles additionally drops

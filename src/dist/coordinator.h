@@ -14,10 +14,12 @@
 // grouping from dist/placement.h) becomes a StealQueue of per-rank claim
 // slots; ranks pull `steal_grain`-sized claims off the front of their own
 // slot and, with ShardOptions::steal, steal trailing sub-ranges from the
-// most-loaded slot once their own is empty.  Every claim runs through the
-// same body, which writes each outcome straight to its global space
-// index and marks that position done, so no gather step exists and the
-// merged study is bitwise-identical to a single-rank run at any policy x
+// most-loaded slot once their own is empty.  A claim is an index list --
+// the global space indices of its positions -- and every claim runs
+// through the same body: the rank's explorer runs those indices of the
+// whole space, and the body writes each outcome straight to its global
+// space index and marks that position done, so no gather step exists and
+// the merged study is bitwise-identical to a single-rank run at any policy x
 // shards x jobs x steal setting.  An unwritten or twice-written position
 // is a protocol bug and throws std::logic_error.
 //
@@ -55,8 +57,8 @@
 // cycles) before the rank claims again.  A restarted incarnation gets a
 // fresh CompilationCache and SpaceExplorer -- its anchor memo and warm
 // cache are lost, which is invisible in the results because runs are
-// deterministic -- but keeps its shard checkpoint database and its
-// running checkpoint-ordinal base.  A rank that exhausts the budget is
+// deterministic -- but keeps its shard checkpoint database, which counts
+// the checkpoints the kill site reads.  A rank that exhausts the budget is
 // marked dead (StealQueue::mark_dead) and its remaining slot joins the
 // orphan pool, claimable by every survivor even with stealing disabled:
 // taking over for a dead rank is recovery, not load balancing.
@@ -84,10 +86,10 @@
 // Fault injection stays deterministic across shard counts for free: the
 // injector's trial scope is keyed by the study item's global identity
 // ("test|triple", see core/faults.h), which no partition can change.  The
-// checkpoint kill site fires inside whichever shard reaches the armed
-// batch ordinal first -- after that shard's checkpoint is durable -- so a
-// killed sharded study resumes from its shard databases and converges to
-// the same bytes an uninterrupted run produces.
+// checkpoint kill site fires inside whichever shard's database first
+// records the armed number of checkpoints -- after that checkpoint is
+// durable -- so a killed sharded study resumes from its shard databases
+// and converges to the same bytes an uninterrupted run produces.
 
 #include <filesystem>
 #include <span>

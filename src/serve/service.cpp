@@ -3,6 +3,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -57,9 +58,7 @@ struct Execution {
   double vclock = 0.0;     ///< modeled cycles served to this study
   int pinned_lane = -1;    ///< steal off: the study's home lane
 
-  /// Claims executed so far; each claim records one checkpoint batch, so
-  /// this is also the checkpoint ordinals consumed.
-  std::size_t batches = 0;
+  std::size_t batches = 0;   ///< claims executed so far
   std::size_t variable = 0;  ///< variable outcomes among the first `cursor`
   std::size_t failed = 0;    ///< failed outcomes among the first `cursor`
   toolchain::CacheStats cache_delta;
@@ -388,9 +387,10 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
       eo.resume = opts_.resume;
     }
     eo.checkpoint_batch = count;  // one durable checkpoint per claim
-    eo.checkpoint_ordinal_base = e.batches;
     eo.obs_shard = static_cast<int>(lane);
-    eo.obs_index_base = first;
+    std::vector<std::size_t> claim(count);
+    std::iota(claim.begin(), claim.end(), first);
+    eo.indices = claim;
 
     const toolchain::CacheStats before = cache_.stats();
     core::StudyResult part;
@@ -398,11 +398,7 @@ ServeReport StudyService::run(std::span<const StudyRequest> requests) {
       obs::Span span(obs::tracer_if_enabled(), "claim", "serve",
                      req.id + "[" + std::to_string(first) + "+" +
                          std::to_string(count) + "]");
-      part = e.explorer->explore(
-          *e.test,
-          std::span<const toolchain::Compilation>(e.subspace)
-              .subspan(first, count),
-          eo);
+      part = e.explorer->explore(*e.test, e.subspace, eo);
       double cost = 0.0;
       for (const core::CompilationOutcome& o : part.outcomes) {
         cost += o.cycles;

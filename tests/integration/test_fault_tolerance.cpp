@@ -569,4 +569,38 @@ TEST_F(FaultToleranceTest, InterruptedStudyConvergesToByteIdenticalDb) {
   fs::remove(ref_path);
 }
 
+TEST_F(FaultToleranceTest, ResumedFaultedStudyPrintsTheUninterruptedReport) {
+  const auto space = small_space();
+  mfemini::MfemExampleTest test(5);
+  constexpr int kRetries = 3;
+  constexpr std::size_t kHead = 4;  // rows the "killed" run recorded
+  std::uint64_t seed = 0;
+  const auto full = explore_with_seed(
+      test, space, 0.3, kRetries,
+      [](const core::StudyResult& r) {
+        return std::any_of(r.outcomes.begin(), r.outcomes.begin() + kHead,
+                           [](const core::CompilationOutcome& o) {
+                             return o.status == OutcomeStatus::Retried;
+                           });
+      },
+      &seed);
+  ASSERT_TRUE(full.has_value()) << "no seed in [0,100) retried a head item";
+
+  // The same faults: the head recorded, then a resume over the whole space
+  // restores the head (retried rows included) and runs the rest.
+  FaultInjector::global().disarm();
+  FaultInjector::global().arm(FaultSite::Run, 0.3, seed);
+  core::ResultsDb db(temp_db());
+  core::ExploreOptions opts;
+  opts.retry.max_attempts = kRetries;
+  opts.db = &db;
+  const std::vector<Compilation> head(space.begin(), space.begin() + kHead);
+  (void)make_explorer(2).explore(test, head, opts);
+  opts.resume = true;
+  const auto resumed = make_explorer(2).explore(test, space, opts);
+
+  EXPECT_EQ(core::study_summary(resumed), core::study_summary(*full));
+  EXPECT_EQ(core::failure_report(resumed), core::failure_report(*full));
+}
+
 }  // namespace
