@@ -70,7 +70,8 @@ int main() {
   std::fprintf(stderr,
                "  [table2] %zu searches bisected: %llu real runs, %llu "
                "memo hits\n",
-               searches.size(), static_cast<unsigned long long>(ms.entries),
+               searches.size(),
+               static_cast<unsigned long long>(ms.entries + ms.escaped),
                static_cast<unsigned long long>(ms.hits));
 
   for (std::size_t i = 0; i < searches.size(); ++i) {

@@ -423,6 +423,7 @@ BlameReport run_campaign(const fpsem::CodeModel* model,
     report.executions += pc.executions;
     report.memo_hits += pc.memo_hits;
   }
+  report.memo = memo.stats();
 
   m_cells.add(static_cast<std::uint64_t>(report.cells.size()));
   m_probes.add(static_cast<std::uint64_t>(
@@ -514,7 +515,9 @@ std::string BlameReport::stats_text() const {
               static_cast<double>(executions)
        << "%)";
   }
-  os << "\nreal executions: " << (executions - memo_hits) << '\n';
+  os << "\nreal executions: " << (executions - memo_hits) << " ("
+     << memo.escaped << " left their test's scope and were not stored; "
+     << memo.scouts << " scout run(s) besides)\n";
   os << "steals: " << shard_stats.total_steals() << " across "
      << shard_stats.ranks.size() << " rank(s)\n";
   return os.str();

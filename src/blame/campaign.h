@@ -33,6 +33,7 @@
 
 #include "core/explorer.h"
 #include "core/hierarchy.h"
+#include "core/probe_memo.h"
 #include "core/registry.h"
 #include "core/resultsdb.h"
 #include "dist/campaign.h"
@@ -128,6 +129,9 @@ struct BlameReport {
   /// real runs depends on scheduling under concurrency, so this number
   /// stays out of text().
   long long memo_hits = 0;
+  /// The shared memo's tallies after both phases (zeros with the memo
+  /// off); stats_text() prints its escaped and scout counts.
+  core::ProbeMemo::Stats memo;
 
   dist::CampaignRunStats shard_stats;  ///< of the cell phase
 
@@ -135,8 +139,9 @@ struct BlameReport {
   /// shards x jobs x steal x memo setting.
   [[nodiscard]] std::string text() const;
 
-  /// Scheduling-dependent accounting (memo hit rate, steals) -- kept out
-  /// of text() so the report bytes never move.
+  /// Scheduling-dependent accounting (memo hit rate, steals) and the
+  /// memo's escaped and scout runs -- kept out of text() so the report
+  /// bytes never move.
   [[nodiscard]] std::string stats_text() const;
 };
 

@@ -118,14 +118,19 @@ SpaceExplorer::SpaceExplorer(const fpsem::CodeModel* model,
 
 RunOutput SpaceExplorer::run_whole_program(
     const TestBase& test, const toolchain::Compilation& c) const {
-  // An armed injector must see every item roll its compile, link and run
-  // decisions, so faulted studies bypass the memo (as bisect probes do).
-  if (FaultInjector::global().any_armed()) return build_link_run(test, c);
+  // The build key and the compile cache's lookup share one semantics
+  // group.  An armed injector must see every item roll its compile, link
+  // and run decisions, so faulted studies bypass the memo (as bisect
+  // probes do).
+  const std::uint64_t group = toolchain::CompilationCache::semantics_group(c);
+  if (FaultInjector::global().any_armed()) {
+    return build_link_run(test, c, group);
+  }
 
   ProbeMemo::Answer answer =
-      memo_->probe(ProbeMemo::key_of_build(test.name(), c), [&] {
+      memo_->probe(ProbeMemo::key_of_build(test.name(), c, group), [&] {
         try {
-          return ProbeMemo::Entry{false, {}, build_link_run(test, c)};
+          return ProbeMemo::Entry{false, {}, build_link_run(test, c, group)};
         } catch (const ExecutionCrash& e) {
           return ProbeMemo::Entry{true, e.what(), {}};
         }
@@ -142,8 +147,9 @@ RunOutput SpaceExplorer::run_whole_program(
   return std::move(answer.entry.output);
 }
 
-RunOutput SpaceExplorer::build_link_run(
-    const TestBase& test, const toolchain::Compilation& c) const {
+RunOutput SpaceExplorer::build_link_run(const TestBase& test,
+                                        const toolchain::Compilation& c,
+                                        std::uint64_t group) const {
   // The per-compilation phase breakdown: build/link/run spans stamped with
   // the calling thread's (shard, index, attempt) context.  Inert (a null
   // check) when tracing is off.
@@ -153,7 +159,7 @@ RunOutput SpaceExplorer::build_link_run(
   std::vector<toolchain::CompilationCache::ObjectPtr> objs;
   {
     obs::Span span(tr, "build", "explore", c.str());
-    objs = build_.intern_all(c);
+    objs = build_.intern_all(c, /*fpic=*/false, /*injected=*/false, group);
   }
   std::vector<const toolchain::ObjectFile*> line;
   line.reserve(objs.size());

@@ -243,8 +243,10 @@ class SpaceExplorer {
 
   /// Compiles, links and runs `c` with its build/link/run spans (the
   /// memo's miss path, and the whole path while faults are armed).
-  [[nodiscard]] RunOutput build_link_run(
-      const TestBase& test, const toolchain::Compilation& c) const;
+  /// `group` is CompilationCache::semantics_group(c).
+  [[nodiscard]] RunOutput build_link_run(const TestBase& test,
+                                         const toolchain::Compilation& c,
+                                         std::uint64_t group) const;
 
   const fpsem::CodeModel* model_;
   toolchain::Compilation baseline_;

@@ -1,6 +1,7 @@
 #include "core/faults.h"
 
 #include <cstdlib>
+#include <limits>
 
 #include "obs/session.h"
 
@@ -43,6 +44,39 @@ bool parse_site(const std::string& name, FaultSite* out) {
   return true;
 }
 
+/// Parses `s` as decimal digits whose value fits `T`: no sign, space,
+/// prefix or wrap-around (strtoull accepts all four).
+template <typename T>
+bool parse_unsigned(const std::string& s, T* out) {
+  if (s.empty()) return false;
+  T v = 0;
+  for (const char ch : s) {
+    if (ch < '0' || ch > '9') return false;
+    const T digit = static_cast<T>(ch - '0');
+    if (v > (std::numeric_limits<T>::max() - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
+/// Parses `s` as a plain decimal (digits, then optionally '.' and more
+/// digits) in [0, 1].  No sign, space, exponent, hex float, inf or nan.
+bool parse_rate(const std::string& s, double* out) {
+  const auto digits = [](const std::string& d) {
+    return !d.empty() && d.find_first_not_of("0123456789") == std::string::npos;
+  };
+  const std::size_t dot = s.find('.');
+  const bool plain = dot == std::string::npos
+                         ? digits(s)
+                         : digits(s.substr(0, dot)) && digits(s.substr(dot + 1));
+  if (!plain) return false;
+  const double v = std::strtod(s.c_str(), nullptr);
+  if (!(v >= 0.0 && v <= 1.0)) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 const char* to_string(FaultSite s) {
@@ -61,10 +95,12 @@ void FaultInjector::arm(FaultSite site, double rate, std::uint64_t seed) {
   std::lock_guard lock(mu_);
   SiteSpec& spec = sites_[site_index(site)];
   spec.armed = true;
+  // NaN clamps to the floor: a site that is armed yet can never fire
+  // would still bypass every memo.
   if (site == FaultSite::Kill) {
-    spec.rate = rate < 1.0 ? 1.0 : rate;  // a batch ordinal, not a rate
+    spec.rate = rate >= 1.0 ? rate : 1.0;  // a checkpoint count, not a rate
   } else {
-    spec.rate = rate < 0.0 ? 0.0 : (rate > 1.0 ? 1.0 : rate);
+    spec.rate = rate > 0.0 ? (rate < 1.0 ? rate : 1.0) : 0.0;
   }
   spec.seed = seed;
   any_armed_.store(true, std::memory_order_release);
@@ -121,27 +157,27 @@ void FaultInjector::configure(const std::string& spec) {
       throw std::invalid_argument("FLIT_FAULTS: duplicate site '" +
                                   site_name + "' in '" + spec + "'");
     }
-    // Rates are probabilities: [0, 1] for the failure sites.  The kill
-    // site's "rate" is a checkpoint-batch ordinal and may exceed 1.
-    char* endp = nullptr;
-    const double rate = std::strtod(rate_str.c_str(), &endp);
-    if (rate_str.empty() || endp == nullptr || *endp != '\0' || rate < 0.0 ||
-        (rate > 1.0 && site != FaultSite::Kill)) {
+    // Rates are probabilities: finite plain decimals in [0, 1] for the
+    // failure sites.  The kill site's value is a checkpoint count.
+    double rate = 0.0;
+    if (site == FaultSite::Kill) {
+      std::size_t checkpoints = 0;
+      if (!parse_unsigned(rate_str, &checkpoints)) {
+        throw std::invalid_argument("FLIT_FAULTS: bad checkpoint count '" +
+                                    rate_str + "' in '" + entry +
+                                    "' (expected an unsigned integer)");
+      }
+      rate = static_cast<double>(checkpoints);
+    } else if (!parse_rate(rate_str, &rate)) {
       throw std::invalid_argument("FLIT_FAULTS: bad rate '" + rate_str +
-                                  "' in '" + entry + "'");
+                                  "' in '" + entry +
+                                  "' (expected a decimal in [0, 1])");
     }
     std::uint64_t seed = 0;
-    if (!seed_str.empty()) {
-      // strtoull silently wraps a negative seed ("-1" becomes
-      // ULLONG_MAX); reject the sign outright.
-      endp = nullptr;
-      const unsigned long long v = std::strtoull(seed_str.c_str(), &endp, 10);
-      if (seed_str[0] == '-' || seed_str[0] == '+' || endp == nullptr ||
-          *endp != '\0') {
-        throw std::invalid_argument("FLIT_FAULTS: bad seed '" + seed_str +
-                                    "' in '" + entry + "'");
-      }
-      seed = v;
+    if (c2 != std::string::npos && !parse_unsigned(seed_str, &seed)) {
+      throw std::invalid_argument("FLIT_FAULTS: bad seed '" + seed_str +
+                                  "' in '" + entry +
+                                  "' (expected an unsigned 64-bit integer)");
     }
     parsed.arm(site, rate, seed);
   }
@@ -186,7 +222,9 @@ void FaultInjector::maybe_fail(FaultSite site, const std::string& key) const {
 bool FaultInjector::should_kill(std::size_t checkpoints) const {
   if (!any_armed()) return false;
   const SiteSpec spec = site_spec(FaultSite::Kill);
-  return spec.armed && checkpoints >= static_cast<std::size_t>(spec.rate);
+  // Compared as doubles: converting a huge count to size_t would be
+  // undefined.
+  return spec.armed && static_cast<double>(checkpoints) >= spec.rate;
 }
 
 FaultInjector& FaultInjector::global() {

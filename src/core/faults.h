@@ -28,12 +28,13 @@
 //
 // Configuration:
 //   * programmatic: FaultInjector::global().configure("run:0.2:42");
-//   * environment:  FLIT_FAULTS=site:rate:seed[,site:rate:seed...]
-//     where site is compile|link|run|kill|shard|stall, rate is a
-//     probability in [0, 1] (for kill: the 1-based checkpoint-batch
-//     ordinal to die at), and seed is an optional unsigned integer
-//     (default 0).  A site may appear at most once; unknown or duplicate
-//     sites are rejected with a message naming the offending token.
+//   * environment:  FLIT_FAULTS=site:rate[:seed][,site:rate[:seed]...]
+//     where site is compile|link|run|kill|shard|stall, rate is a plain
+//     decimal probability in [0, 1] (for kill: an unsigned integer, the
+//     checkpoint count to die at), and seed is an optional unsigned
+//     64-bit integer (default 0).  A site may appear at most once;
+//     unknown or duplicate sites and out-of-grammar or out-of-range
+//     values are rejected with a message naming the offending entry.
 //
 // This header is deliberately self-contained (standard library only) so
 // the toolchain layer can consult the injector without depending on the
@@ -82,9 +83,9 @@ struct RetryPolicy {
 
 class FaultInjector {
  public:
-  /// Arms `site` with failure probability `rate` (clamped to [0, 1]; for
-  /// the Kill site, `rate` is the 1-based checkpoint-batch ordinal to die
-  /// at) under `seed`.  Arming is not synchronized against concurrent
+  /// Arms `site` with failure probability `rate` (clamped to [0, 1], NaN
+  /// to 0; for the Kill site, `rate` is the checkpoint count to die at,
+  /// at least 1) under `seed`.  Arming is not synchronized against concurrent
   /// decisions: configure before dispatching parallel work.
   void arm(FaultSite site, double rate, std::uint64_t seed = 0);
 

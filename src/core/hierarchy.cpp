@@ -60,14 +60,7 @@ RunOutput BisectDriver::execute(
       FaultInjector::global().any_armed()) {
     return runner_.run(*test_, exe, cfg_.hook);
   }
-  ProbeMemo::Answer answer =
-      cfg_.memo->probe(ProbeMemo::key_of(test_->name(), exe), [&] {
-        try {
-          return ProbeMemo::Entry{false, {}, runner_.run(*test_, exe)};
-        } catch (const ExecutionCrash& e) {
-          return ProbeMemo::Entry{true, e.what(), {}};
-        }
-      });
+  ProbeMemo::Answer answer = cfg_.memo->probe_scoped(*test_, runner_, exe);
   if (answer.hit) ++memo_hits_;
   if (answer.entry.crashed) throw ExecutionCrash(answer.entry.crash_reason);
   return std::move(answer.entry.output);

@@ -48,12 +48,13 @@ struct BisectConfig {
   bool variable_injected = false;
   fpsem::InjectionHook* hook = nullptr;
 
-  /// Shared (thread-safe) probe memo: probes whose linked executable was
-  /// already run -- by this driver or any other sharing the memo -- are
-  /// answered from cache instead of re-running (see probe_memo.h for the
-  /// soundness argument).  Ignored in injection mode and while the fault
-  /// injector is armed, where skipping a run would change behaviour.
-  /// Must outlive the driver.
+  /// Shared (thread-safe) probe memo: probes whose linked executable
+  /// agrees, on every function the test reaches, with one already run --
+  /// by this driver or any other sharing the memo -- are answered from
+  /// cache instead of re-running (ProbeMemo::probe_scoped; see
+  /// probe_memo.h for the soundness argument).  Ignored in injection
+  /// mode and while the fault injector is armed, where skipping a run
+  /// would change behaviour.  Must outlive the driver.
   ProbeMemo* memo = nullptr;
 };
 

@@ -11,7 +11,9 @@
 namespace flit::core {
 
 RunOutput Runner::run(const TestBase& test, const toolchain::Executable& exe,
-                      fpsem::InjectionHook* hook) const {
+                      fpsem::InjectionHook* hook,
+                      std::vector<bool>* reach) const {
+  if (reach != nullptr) reach->clear();  // nothing opened yet
   // The run site throws ExecutionCrash (not InjectedFault) so every
   // existing crash path -- bisect failed-search recording, explore
   // containment -- treats an injected signal exactly like a real one.
@@ -32,6 +34,7 @@ RunOutput Runner::run(const TestBase& test, const toolchain::Executable& exe,
          exe.from_injected[hook->target_fn()]);
     if (install) ctx.set_injection_hook(hook);
   }
+  if (reach != nullptr) ctx.record_reach(reach);
 
   const std::vector<double> input = test.getDefaultInput();
   const std::size_t per_run = test.getInputsPerRun();

@@ -37,9 +37,13 @@ class Runner {
   /// Runs `test` inside `exe`.  Throws ExecutionCrash if the binary is
   /// marked as crashing.  When `hook` is an injector, it is installed only
   /// if the target function's definition came from the injected build.
+  /// A non-null `reach` receives, indexed by FunctionId, the functions
+  /// the run opened (EvalContext::record_reach); on a throw it keeps what
+  /// was opened before it, and a crashing binary opens nothing.
   [[nodiscard]] RunOutput run(const TestBase& test,
                               const toolchain::Executable& exe,
-                              fpsem::InjectionHook* hook = nullptr) const;
+                              fpsem::InjectionHook* hook = nullptr,
+                              std::vector<bool>* reach = nullptr) const;
 
   /// Maximum compare() metric across the data-driven chunks of two runs.
   [[nodiscard]] static long double compare_outputs(const TestBase& test,

@@ -83,10 +83,19 @@ class EvalContext {
   void set_injection_hook(InjectionHook* hook) { hook_ = hook; }
   [[nodiscard]] InjectionHook* injection_hook() const { return hook_; }
 
+  /// From now on, sets `(*reach)[id]` for each id fn() opens; `reach` is
+  /// first sized to the map, all false.  fn() is the map's only reader, so
+  /// without a hook a run depends on exactly the bindings it reached.
+  void record_reach(std::vector<bool>* reach) {
+    reach->assign(map_.size(), false);
+    reach_ = reach;
+  }
+
  private:
   SemanticsMap map_;
   OpCounter counter_;
   InjectionHook* hook_ = nullptr;
+  std::vector<bool>* reach_ = nullptr;  ///< set by record_reach()
 };
 
 class FpEnv {
@@ -403,7 +412,9 @@ inline FpEnv EvalContext::fn(FunctionId id) {
       hook->target_fn() != id) {
     hook = nullptr;
   }
-  return FpEnv(map_.binding(id), counter_, hook, id);
+  const FnBinding& b = map_.binding(id);
+  if (reach_ != nullptr) (*reach_)[id] = true;
+  return FpEnv(b, counter_, hook, id);
 }
 
 /// Context in which every registered function runs under strict IEEE

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace flit::gen {
@@ -60,7 +61,10 @@ const char* kMechanismNames[] = {"fma-contraction", "reassociation",
                                  "fast-libm", "subnormal-flush",
                                  "unsafe-math"};
 
-std::uint64_t parse_u64_strict(const std::string& s, const char* what) {
+/// Parses decimal digits whose value is at most `max` (the field's
+/// range), so no number wraps.
+std::uint64_t parse_u64_strict(const std::string& s, const char* what,
+                               std::uint64_t max) {
   if (s.empty()) throw std::invalid_argument(std::string(what) + ": empty");
   std::uint64_t v = 0;
   for (char c : s) {
@@ -69,7 +73,13 @@ std::uint64_t parse_u64_strict(const std::string& s, const char* what) {
                                   ": expected an unsigned integer, got '" +
                                   s + "'");
     }
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (max - digit) / 10) {
+      throw std::invalid_argument(std::string(what) + ": '" + s +
+                                  "' is out of range (at most " +
+                                  std::to_string(max) + ")");
+    }
+    v = v * 10 + digit;
   }
   return v;
 }
@@ -234,10 +244,12 @@ GroundTruthLabel GroundTruthLabel::from_tsv_line(const std::string& line) {
                                 "'");
   }
   l.mechanism = *m;
-  l.hazard_sites =
-      static_cast<int>(parse_u64_strict(cols[3], "label hazard_sites"));
-  l.seed = parse_u64_strict(cols[4], "label seed");
-  l.index = static_cast<std::size_t>(parse_u64_strict(cols[5], "label index"));
+  l.hazard_sites = static_cast<int>(parse_u64_strict(
+      cols[3], "label hazard_sites", std::numeric_limits<int>::max()));
+  l.seed = parse_u64_strict(cols[4], "label seed",
+                            std::numeric_limits<std::uint64_t>::max());
+  l.index = static_cast<std::size_t>(parse_u64_strict(
+      cols[5], "label index", std::numeric_limits<std::size_t>::max()));
   l.file = cols[6];
   l.expected_symbol = cols[7];
   return l;

@@ -150,8 +150,9 @@ struct ServeReport {
   std::vector<RequestReport> requests;  ///< admission order
   toolchain::CacheStats cache;          ///< aggregate shared-cache stats
   std::uint64_t cache_resident_bytes = 0;
-  /// The shared execution memo after the run: entries are real runs,
-  /// hits the runs it saved (cumulative over the service's lifetime).
+  /// The shared execution memo after the run: entries plus escaped are
+  /// real runs, hits the runs it saved (cumulative over the service's
+  /// lifetime).
   core::ProbeMemo::Stats memo;
   double fleet_cycles = 0.0;  ///< max lane clock (modeled)
   std::size_t deduplicated = 0;

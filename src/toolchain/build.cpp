@@ -34,7 +34,9 @@ ObjectFile BuildSystem::compile(const std::string& file, const Compilation& c,
     throw std::invalid_argument("unknown source file: " + file);
   }
   if (cache_ == nullptr) return compile_uncached(*f, c, fpic, injected);
-  ObjectFile obj = *intern_files(c, fpic, injected, *f, 1).front();
+  ObjectFile obj = *intern_files(c, fpic, injected,
+                                 CompilationCache::semantics_group(c), *f, 1)
+                        .front();
   obj.comp = c;  // the hazard predicates of mixed lines hash the raw triple
   return obj;
 }
@@ -59,10 +61,16 @@ std::vector<ObjectFile> BuildSystem::compile_all(const Compilation& c,
 }
 
 std::vector<CompilationCache::ObjectPtr> BuildSystem::intern_all(
-    const Compilation& c, bool fpic, bool injected) const {
+    const Compilation& c, bool fpic, bool injected,
+    std::optional<std::uint64_t> group) const {
   const std::vector<std::string>& files = model_->files();
+  // Only a cache lookup reads the group: an uncached build skips it.
+  const std::uint64_t g =
+      cache_ == nullptr ? 0
+      : group           ? *group
+                        : CompilationCache::semantics_group(c);
   if (!core::FaultInjector::global().any_armed()) {
-    return intern_files(c, fpic, injected, 0, files.size());
+    return intern_files(c, fpic, injected, g, 0, files.size());
   }
   // Each file rolls its fault right before its own lookup, so a faulted
   // build leaves the tallies where per-file compiles would.
@@ -70,14 +78,14 @@ std::vector<CompilationCache::ObjectPtr> BuildSystem::intern_all(
   out.reserve(files.size());
   for (std::size_t f = 0; f < files.size(); ++f) {
     roll_compile_fault(files[f], c, fpic, injected);
-    out.push_back(intern_files(c, fpic, injected, f, 1).front());
+    out.push_back(intern_files(c, fpic, injected, g, f, 1).front());
   }
   return out;
 }
 
 std::vector<CompilationCache::ObjectPtr> BuildSystem::intern_files(
-    const Compilation& c, bool fpic, bool injected, std::size_t first,
-    std::size_t count) const {
+    const Compilation& c, bool fpic, bool injected, std::uint64_t group,
+    std::size_t first, std::size_t count) const {
   const auto build = [&](std::size_t file) {
     return compile_uncached(file, c, fpic, injected);
   };
@@ -89,7 +97,6 @@ std::vector<CompilationCache::ObjectPtr> BuildSystem::intern_files(
     }
     return out;
   }
-  const std::uint64_t group = CompilationCache::semantics_group(c);
   const CompilationCache::SetKey key{
       model_, fpic ? CompilationCache::fingerprint(c, true) : group, fpic,
       injected};

@@ -5,6 +5,8 @@
 // everything" entries the FLiT runner and Bisect drivers use.
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,8 +45,12 @@ class BuildSystem {
   /// per file, with no copy.  An object's `comp` is whichever equivalent
   /// compilation built it first, so link the line with
   /// Linker::link(line, c).  Tallies and fault rolls match compile_all's.
+  /// `group`, when given, must be CompilationCache::semantics_group(c):
+  /// a caller that already computed it (the execution memo's build key)
+  /// passes it instead of having it computed again.
   [[nodiscard]] std::vector<CompilationCache::ObjectPtr> intern_all(
-      const Compilation& c, bool fpic = false, bool injected = false) const;
+      const Compilation& c, bool fpic = false, bool injected = false,
+      std::optional<std::uint64_t> group = std::nullopt) const;
 
   [[nodiscard]] const fpsem::CodeModel& model() const { return *model_; }
 
@@ -52,11 +58,12 @@ class BuildSystem {
   [[nodiscard]] CompilationCache* cache() const { return cache_; }
 
  private:
-  /// Interns model files [first, first + count) under `c` (built fresh
-  /// when there is no cache).
+  /// Interns model files [first, first + count) under `c`, whose
+  /// semantics group is `group` (built fresh when there is no cache, which
+  /// ignores `group`).
   [[nodiscard]] std::vector<CompilationCache::ObjectPtr> intern_files(
-      const Compilation& c, bool fpic, bool injected, std::size_t first,
-      std::size_t count) const;
+      const Compilation& c, bool fpic, bool injected, std::uint64_t group,
+      std::size_t first, std::size_t count) const;
 
   [[nodiscard]] ObjectFile compile_uncached(std::size_t file,
                                             const Compilation& c, bool fpic,

@@ -141,6 +141,47 @@ TEST_F(FaultToleranceTest, ConfigureRejectsMalformedSpecs) {
   EXPECT_TRUE(inj.armed(FaultSite::Kill));
 }
 
+TEST_F(FaultToleranceTest, ConfigureRejectsValuesItCannotMean) {
+  auto& inj = FaultInjector::global();
+  // Each of these used to arm a site: a NaN rate that never fires yet
+  // bypasses every memo, kill counts that overflow size_t or silently
+  // truncate, a seed that overflows 64 bits, and values strtod or
+  // strtoull read past a space, a sign or a hex prefix.
+  for (const char* spec :
+       {"run:nan", "run:-nan", "run:inf", "kill:inf", "kill:1e300",
+        "kill:2.5", "kill:18446744073709551616", "kill:-1",
+        "run:0.5:99999999999999999999", "run:0.5:18446744073709551616",
+        "run: 0.5", "run:0.5: 7", "run:0.5 ", "run:0x1p-1", "run:1e-1",
+        "run:.5", "run:1.", "run:-0", "run:0.5:", "run:0.5:1:2"}) {
+    try {
+      inj.configure(spec);
+      ADD_FAILURE() << "accepted '" << spec << "'";
+    } catch (const std::invalid_argument& e) {
+      // The error names the offending entry (each spec is one entry).
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + spec + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(inj.any_armed()) << spec;
+  }
+
+  // Every spelling the tools, smokes and docs use still parses.
+  for (const char* spec :
+       {"run:0.5:42", "run:0.05:7", "kill:2:0", "kill:3:0", "shard:0.05:3",
+        "stall:0.3:3", "compile:0.1", "link:0.02", "shard:1.0:1", "run:0",
+        "run:1", "kill:0", "run:0.5:18446744073709551615",
+        "shard:0.05:3,kill:2:0"}) {
+    EXPECT_NO_THROW(inj.configure(spec)) << spec;
+    EXPECT_TRUE(inj.any_armed()) << spec;
+  }
+  // The largest count fits and never fires early.
+  inj.configure("kill:18446744073709551615");
+  EXPECT_FALSE(inj.should_kill(1'000'000));
+  inj.configure("kill:2");
+  EXPECT_FALSE(inj.should_kill(1));
+  EXPECT_TRUE(inj.should_kill(2));
+}
+
 TEST_F(FaultToleranceTest, DecisionsArePureFunctionsOfTrialScope) {
   auto& inj = FaultInjector::global();
   inj.arm(FaultSite::Run, 0.5, 7);

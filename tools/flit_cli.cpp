@@ -750,7 +750,8 @@ int cmd_serve(Options& o) {
                static_cast<unsigned long long>(c.misses), c.hit_rate(),
                static_cast<unsigned long long>(c.evictions),
                static_cast<unsigned long long>(report.cache_resident_bytes),
-               static_cast<unsigned long long>(report.memo.entries),
+               static_cast<unsigned long long>(report.memo.entries +
+                                               report.memo.escaped),
                static_cast<unsigned long long>(report.memo.hits),
                report.fleet_cycles);
   return 0;
