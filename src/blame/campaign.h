@@ -19,11 +19,12 @@
 //      -- and re-verifies it with confirming bisects.
 //
 // Determinism: cells (step 2) and then clusters (step 4) run on one
-// dist::run_sharded_campaign fleet, and every outcome lands at its cell or
-// cluster index, so BlameReport::text() is bitwise-identical at any
-// shards x jobs x steal x memo setting.  The only scheduling-dependent
-// numbers (the memo hit/run split, steal counts) are quarantined in
-// stats_text().  See docs/blame-dedup.md.
+// dist::run_sharded_campaign fleet, whose every lane claims and runs its
+// own claims, and every outcome lands at its cell or cluster index, so
+// which lane runs an item moves no byte: BlameReport::text() is
+// bitwise-identical at any shards x jobs x steal x memo setting.  The only
+// scheduling-dependent numbers (the memo hit/run split, claim and steal
+// counts) are quarantined in stats_text().  See docs/blame-dedup.md.
 
 #include <cstddef>
 #include <map>

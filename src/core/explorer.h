@@ -212,12 +212,6 @@ class SpaceExplorer {
     return explore(test, space, ExploreOptions{});
   }
 
-  /// Runs one whole-program compilation of `test`, through the execution
-  /// memo unless the fault injector is armed.  Throws ExecutionCrash when
-  /// the executable crashes (on a hit too).
-  [[nodiscard]] RunOutput run_whole_program(
-      const TestBase& test, const toolchain::Compilation& c) const;
-
   void set_jobs(unsigned jobs) { jobs_ = jobs >= 1 ? jobs : 1; }
   [[nodiscard]] unsigned jobs() const { return jobs_; }
 
@@ -234,6 +228,12 @@ class SpaceExplorer {
   [[nodiscard]] const ProbeMemo& memo() const { return *memo_; }
 
  private:
+  /// Runs one whole-program compilation of `test`, through the execution
+  /// memo unless the fault injector is armed.  Throws ExecutionCrash when
+  /// the executable crashes (on a hit too).
+  [[nodiscard]] RunOutput run_whole_program(
+      const TestBase& test, const toolchain::Compilation& c) const;
+
   /// Runs an anchor compilation with the retry budget; throws StudyAbort
   /// when every attempt fails.
   [[nodiscard]] RunOutput run_anchor(const TestBase& test,

@@ -62,18 +62,25 @@ bool parse_unsigned(const std::string& s, T* out) {
 
 /// Parses `s` as a plain decimal (digits, then optionally '.' and more
 /// digits) in [0, 1].  No sign, space, exponent, hex float, inf or nan.
+/// The bound is read off the digits: strtod rounds a rate just above 1,
+/// such as 1.00000000000000000001, to exactly 1.
 bool parse_rate(const std::string& s, double* out) {
   const auto digits = [](const std::string& d) {
     return !d.empty() && d.find_first_not_of("0123456789") == std::string::npos;
   };
   const std::size_t dot = s.find('.');
-  const bool plain = dot == std::string::npos
-                         ? digits(s)
-                         : digits(s.substr(0, dot)) && digits(s.substr(dot + 1));
-  if (!plain) return false;
-  const double v = std::strtod(s.c_str(), nullptr);
-  if (!(v >= 0.0 && v <= 1.0)) return false;
-  *out = v;
+  const std::string whole = s.substr(0, dot);
+  const std::string frac = dot == std::string::npos ? "" : s.substr(dot + 1);
+  if (!digits(whole) || (dot != std::string::npos && !digits(frac))) {
+    return false;
+  }
+  const std::size_t lead = whole.find_first_not_of('0');
+  const bool at_most_one =
+      lead == std::string::npos ||
+      (whole.substr(lead) == "1" &&
+       frac.find_first_not_of('0') == std::string::npos);
+  if (!at_most_one) return false;
+  *out = std::strtod(s.c_str(), nullptr);
   return true;
 }
 

@@ -24,6 +24,37 @@ RunOutput truncated(RunOutput out, int digits) {
   return out;
 }
 
+/// The culprits of one Bisect level, largest Test value first, plus
+/// BisectAll's verification diagnostic (empty when both assertions held;
+/// BisectBiggest cannot verify).
+struct Culprits {
+  std::vector<std::pair<std::string, double>> found;
+  std::string diagnostic;
+};
+
+/// The culprit search both levels share: BisectBiggest when k > 0, else
+/// BisectAll, whose culprits are then valued by their singleton Test.
+Culprits find_culprits(MemoizedTest<std::string>& test,
+                       const std::vector<std::string>& items, int k) {
+  Culprits out;
+  if (k > 0) {
+    for (RankedFinding<std::string>& rf :
+         bisect_biggest(test, items, k).found) {
+      out.found.emplace_back(std::move(rf.element), rf.value);
+    }
+  } else {
+    BisectOutcome<std::string> all = bisect_all(test, items);
+    out.diagnostic = std::move(all.diagnostic);
+    for (std::string& e : all.found) {
+      const double value = test({e});
+      out.found.emplace_back(std::move(e), value);
+    }
+  }
+  std::sort(out.found.begin(), out.found.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  return out;
+}
+
 }  // namespace
 
 BisectDriver::BisectDriver(const fpsem::CodeModel* model, const TestBase* test,
@@ -80,6 +111,8 @@ HierarchicalOutcome BisectDriver::run() {
   obs::Span span(obs::tracer_if_enabled(), "bisect", "bisect",
                  cfg_.variable.str());
   HierarchicalOutcome out = run_impl();
+  out.executions = executions_;
+  out.memo_hits = memo_hits_;
   m_executions.add(static_cast<std::uint64_t>(
       out.executions > 0 ? out.executions : 0));
   m_memo_hits.add(
@@ -107,7 +140,7 @@ HierarchicalOutcome BisectDriver::run_impl() {
   var_objs.reserve(files.size());
   for (const std::string& f : files) {
     var_objs.push_back(build_.compile(f, cfg_.variable, /*fpic=*/false,
-                                      cfg_.variable_injected));
+                                      cfg_.hook != nullptr));
   }
   // var_of[i]: the variable object of model file i (null out of scope).
   std::vector<const toolchain::ObjectFile*> var_of(all_files.size(), nullptr);
@@ -130,39 +163,19 @@ HierarchicalOutcome BisectDriver::run_impl() {
 
   try {
     out.whole_value = file_test(files);
-    if (cfg_.k > 0) {
-      auto ranked = bisect_biggest(file_test, files, cfg_.k);
-      for (const auto& rf : ranked.found) {
-        FileFinding ff;
-        ff.file = rf.element;
-        ff.value = rf.value;
-        out.findings.push_back(std::move(ff));
-      }
-    } else {
-      auto all = bisect_all(file_test, files);
-      if (!all.assumptions_verified) {
-        out.assumptions_verified = false;
-        out.diagnostic += "[file] " + all.diagnostic;
-      }
-      for (const std::string& f : all.found) {
-        FileFinding ff;
-        ff.file = f;
-        ff.value = file_test({f});
-        out.findings.push_back(std::move(ff));
-      }
+    Culprits culprits = find_culprits(file_test, files, cfg_.k);
+    if (!culprits.diagnostic.empty()) {
+      out.assumptions_verified = false;
+      out.diagnostic += "[file] " + culprits.diagnostic;
+    }
+    for (auto& [file, value] : culprits.found) {
+      out.findings.push_back(FileFinding{std::move(file), value});
     }
   } catch (const ExecutionCrash& e) {
     out.crashed = true;
     out.crash_reason = e.what();
-    out.executions = executions_;
-    out.memo_hits = memo_hits_;
     return out;
   }
-
-  std::sort(out.findings.begin(), out.findings.end(),
-            [](const FileFinding& a, const FileFinding& b) {
-              return a.value > b.value;
-            });
 
   // ---- Symbol Bisect per found file --------------------------------------
   std::vector<SymbolFinding> global_symbols;  // for the k-mode early exit
@@ -184,8 +197,6 @@ HierarchicalOutcome BisectDriver::run_impl() {
     for (const SymbolFinding& sf : ff.symbols) global_symbols.push_back(sf);
   }
 
-  out.executions = executions_;
-  out.memo_hits = memo_hits_;
   // Re-derive the verification flag from symbol phases' notes.
   for (const FileFinding& ff : out.findings) {
     if (ff.status == FileFinding::SymbolStatus::Found && !ff.note.empty()) {
@@ -207,7 +218,7 @@ void BisectDriver::symbol_phase(FileFinding& finding) {
 
   // Recompile the file with -fPIC under both compilations (Sec. 2.3).
   const toolchain::ObjectFile var_fpic = build_.compile(
-      file, cfg_.variable, /*fpic=*/true, cfg_.variable_injected);
+      file, cfg_.variable, /*fpic=*/true, cfg_.hook != nullptr);
   const toolchain::ObjectFile base_fpic =
       build_.compile(file, cfg_.baseline, /*fpic=*/true);
 
@@ -245,23 +256,12 @@ void BisectDriver::symbol_phase(FileFinding& finding) {
           return static_cast<double>(metric(execute(line_with(v, &b))));
         });
 
-    if (cfg_.k > 0) {
-      auto ranked = bisect_biggest(sym_test, symbols, cfg_.k);
-      for (const auto& rf : ranked.found) {
-        finding.symbols.push_back(SymbolFinding{rf.element, rf.value});
-      }
-    } else {
-      auto all = bisect_all(sym_test, symbols);
-      if (!all.assumptions_verified) finding.note = all.diagnostic;
-      for (const std::string& s : all.found) {
-        finding.symbols.push_back(SymbolFinding{s, sym_test({s})});
-      }
+    Culprits culprits = find_culprits(sym_test, symbols, cfg_.k);
+    finding.note = std::move(culprits.diagnostic);
+    for (auto& [symbol, value] : culprits.found) {
+      finding.symbols.push_back(SymbolFinding{std::move(symbol), value});
     }
     finding.status = FileFinding::SymbolStatus::Found;
-    std::sort(finding.symbols.begin(), finding.symbols.end(),
-              [](const SymbolFinding& a, const SymbolFinding& b) {
-                return a.value > b.value;
-              });
   } catch (const ExecutionCrash& e) {
     finding.status = FileFinding::SymbolStatus::Crashed;
     finding.note = e.what();

@@ -40,12 +40,11 @@ struct BisectConfig {
   /// (<= 0: full precision).  Used by the Laghos study (Table 4).
   int digits = 0;
 
-  /// Injection mode (Sec. 3.5): the "variable" build is the same
-  /// compilation as the baseline but produced by the instrumented
-  /// injection build, and `hook` carries the armed perturbation.  The
+  /// Injection mode (Sec. 3.5), on when set: `hook` carries the armed
+  /// perturbation, and the "variable" build is the same compilation as
+  /// the baseline but produced by the instrumented injection build.  The
   /// hook only fires inside functions whose winning definition came from
   /// the instrumented objects.
-  bool variable_injected = false;
   fpsem::InjectionHook* hook = nullptr;
 
   /// Shared (thread-safe) probe memo: probes whose linked executable

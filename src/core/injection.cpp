@@ -78,7 +78,6 @@ InjectionReport InjectionCampaign::run_one(
   cfg.baseline = comp_;
   cfg.variable = comp_;
   cfg.scope = scope_;
-  cfg.variable_injected = true;
   cfg.hook = &hook;
 
   BisectDriver driver(model_, test_, cfg);

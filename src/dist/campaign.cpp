@@ -1,6 +1,5 @@
 #include "dist/campaign.h"
 
-#include <deque>
 #include <optional>
 #include <thread>
 
@@ -15,10 +14,13 @@ std::size_t CampaignRunStats::total_steals() const {
 }
 
 void run_claims_pooled(
-    StealQueue& queue, std::size_t ranks,
+    StealQueue& queue, std::size_t ranks, unsigned lanes_per_rank,
     const std::function<void(std::size_t, const StealQueue::Claim&)>& body) {
-  core::ThreadPool pool(static_cast<unsigned>(ranks));
-  pool.parallel_for(ranks, [&](std::size_t r) {
+  const std::size_t per_rank = lanes_per_rank < 1 ? 1 : lanes_per_rank;
+  const std::size_t lanes = ranks * per_rank;
+  core::ThreadPool pool(static_cast<unsigned>(lanes));
+  pool.parallel_for(lanes, [&](std::size_t lane) {
+    const std::size_t r = lane / per_rank;
     const int rank = static_cast<int>(r);
     while (true) {
       const std::optional<StealQueue::Claim> claim = queue.claim(rank);
@@ -39,22 +41,14 @@ CampaignRunStats run_sharded_campaign(
     std::size_t n, const CampaignShardOptions& opts,
     const std::function<void(std::size_t)>& item) {
   const int shards = opts.shards < 1 ? 1 : opts.shards;
-  const unsigned jobs = opts.jobs < 1 ? 1 : opts.jobs;
-
-  ShardComm comm(shards);
-  StealQueue queue(comm.scatter_ranges(n), opts.grain, opts.steal);
-
-  // One lane pool per rank, reused across its claims (sequential
-  // parallel_for calls on one pool are fine; reentrancy is not, which is
-  // why the lanes are distinct from the rank pool).
-  std::deque<core::ThreadPool> lanes;
-  for (int r = 0; r < shards; ++r) lanes.emplace_back(jobs);
-  run_claims_pooled(queue, static_cast<std::size_t>(shards),
-                    [&](std::size_t r, const StealQueue::Claim& claim) {
-                      const ShardRange rg = claim.range;
-                      lanes[r].parallel_for(rg.size(), [&](std::size_t k) {
-                        item(rg.begin + k);
-                      });
+  StealQueue queue(ShardComm(shards).scatter_ranges(n), opts.grain,
+                   opts.steal);
+  run_claims_pooled(queue, static_cast<std::size_t>(shards), opts.jobs,
+                    [&](std::size_t, const StealQueue::Claim& claim) {
+                      for (std::size_t i = claim.range.begin;
+                           i < claim.range.end; ++i) {
+                        item(i);
+                      }
                     });
 
   CampaignRunStats stats;

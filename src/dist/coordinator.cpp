@@ -431,10 +431,13 @@ ShardedStudy ShardCoordinator::run_impl(
       clocks.advance(r, execute_claim(r, c));
     }
   } else {
-    // Pooled driver: each rank's explorer opens its own inner pool of
-    // `jobs` lanes, composing shards x jobs.  A StudyAbort inside any
-    // shard surfaces through the pool's lowest-index-rethrow contract.
-    run_claims_pooled(queue, nranks,
+    // Pooled driver: one claiming lane per rank, whose explorer fans each
+    // claim out over its own `jobs` lanes, composing shards x jobs.  The
+    // rank's explorer is not reentrant (its anchor memo) and its shard
+    // database takes one writer, so a rank never claims on two lanes.  A
+    // StudyAbort inside any shard surfaces through the pool's
+    // lowest-index-rethrow contract.
+    run_claims_pooled(queue, nranks, 1,
                       [&](std::size_t r, const StealQueue::Claim& c) {
                         (void)execute_claim(r, c);
                       });

@@ -24,10 +24,10 @@
 // is a protocol bug and throws std::logic_error.
 //
 // Two drivers pull claims from the queue:
-//   * pooled -- one ThreadPool lane per rank (run_claims_pooled, shared
-//     with the blame campaign), each rank's explorer fanning its claims
-//     out over `jobs` lanes, so `--shards R --jobs J` uses up to R*J
-//     lanes;
+//   * pooled -- run_claims_pooled, the blame campaign's claim loop too,
+//     with one claiming lane per rank: each rank's explorer fans its
+//     claims out over its own `jobs` lanes, so `--shards R --jobs J` uses
+//     up to R*J lanes;
 //   * serial -- one thread, the rank with the smallest virtual clock
 //     claims next, and each claim advances its rank's clock by the
 //     modeled fresh cycles it executed.  The claim schedule is then a pure
@@ -256,10 +256,6 @@ class ShardCoordinator {
       const std::filesystem::path& dir, int rank, int shards);
 
   [[nodiscard]] const ShardOptions& options() const { return opts_; }
-
-  /// The per-item cost model the placement pass partitions with (profiled
-  /// when ShardOptions supplied a profile or cost_profile file).
-  [[nodiscard]] const CostModel& cost_model() const { return cost_model_; }
 
  private:
   /// The one claim path; `resume_shards` forces checkpoint prefill.

@@ -54,7 +54,6 @@ class BuildSystem {
 
   [[nodiscard]] const fpsem::CodeModel& model() const { return *model_; }
 
-  void set_cache(CompilationCache* cache) { cache_ = cache; }
   [[nodiscard]] CompilationCache* cache() const { return cache_; }
 
  private:

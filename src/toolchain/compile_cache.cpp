@@ -138,11 +138,6 @@ void CompilationCache::set_budget(std::optional<std::uint64_t> bytes) {
   evict_to_budget_locked();
 }
 
-std::optional<std::uint64_t> CompilationCache::budget() const {
-  std::lock_guard lock(mu_);
-  return budget_;
-}
-
 std::uint64_t CompilationCache::resident_bytes() const {
   std::lock_guard lock(mu_);
   return resident_bytes_;

@@ -170,7 +170,6 @@ class CompilationCache {
   /// `--cache-budget 0` configuration measures against); nullopt (the
   /// default) restores the historical unbounded behavior.
   void set_budget(std::optional<std::uint64_t> bytes);
-  [[nodiscard]] std::optional<std::uint64_t> budget() const;
 
   /// Current resident footprint / entry count (0 after clear()).
   [[nodiscard]] std::uint64_t resident_bytes() const;
