@@ -23,8 +23,8 @@
 // own claims, and every outcome lands at its cell or cluster index, so
 // which lane runs an item moves no byte: BlameReport::text() is
 // bitwise-identical at any shards x jobs x steal x memo setting.  The only
-// scheduling-dependent numbers (the memo hit/run split, claim and steal
-// counts) are quarantined in stats_text().  See docs/blame-dedup.md.
+// scheduling-dependent numbers (the memo hit/run split, steal counts) are
+// quarantined in stats_text().  See docs/blame-dedup.md.
 
 #include <cstddef>
 #include <map>

@@ -96,11 +96,12 @@ TEST(CampaignRunner, NoLaneWaitsOnAnotherLanesClaim) {
 // 40 items over 2 ranks at grain 4: every claim is [4k, 4k + 4), from
 // the front of a slot or stolen off its tail, so item 5 throws in claim
 // [4, 8) and its lane leaves 6 and 7 unrun.  Another lane still claims
-// everything else: a sibling lane of the same rank, or a thief.
+// the rest of rank 0's slot, [8, 20) -- a sibling lane or a thief --
+// unless rank 0's only lane threw and stealing is off.
 TEST(CampaignRunner, AThrowingItemReachesTheCallerAfterEveryLaneReturned) {
   for (const unsigned jobs : {1u, 2u}) {
     for (const bool steal : {false, true}) {
-      if (jobs == 1 && !steal) continue;  // nobody could take rank 0's rest
+      const bool lone = jobs == 1 && !steal;
       const std::string where =
           std::to_string(jobs) + (steal ? " steal" : " no-steal");
       std::vector<std::atomic<int>> runs(40);
@@ -115,26 +116,10 @@ TEST(CampaignRunner, AThrowingItemReachesTheCallerAfterEveryLaneReturned) {
         EXPECT_STREQ(e.what(), "item 5") << where;
       }
       for (std::size_t i = 0; i < runs.size(); ++i) {
-        EXPECT_EQ(runs[i].load(), i == 6 || i == 7 ? 0 : 1)
-            << where << " item " << i;
+        const bool unrun = i == 6 || i == 7 || (lone && i >= 8 && i < 20);
+        EXPECT_EQ(runs[i].load(), unrun ? 0 : 1) << where << " item " << i;
       }
     }
-  }
-}
-
-// A lone lane without stealing: nobody else claims from its slot, so the
-// rest of the slot stays unrun with the rest of the claim.
-TEST(CampaignRunner, ALoneLaneWithoutStealingLeavesItsSlotUnrun) {
-  std::vector<std::atomic<int>> runs(40);
-  EXPECT_THROW((void)run_sharded_campaign(
-                   40, fleet(2, 1, false, 4),
-                   [&](std::size_t i) {
-                     runs[i].fetch_add(1);
-                     if (i == 5) throw std::runtime_error("item 5");
-                   }),
-               std::runtime_error);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].load(), i <= 5 || i >= 20 ? 1 : 0) << "item " << i;
   }
 }
 

@@ -166,12 +166,13 @@ void mutate(std::string* spec, std::mt19937_64* rng) {
       // Replace a whole number (a rate's digits or a seed) with a run.
       const std::vector<std::size_t> at = positions_of("0123456789");
       if (at.empty()) break;
+      const auto digit = [&](std::size_t i) {
+        return (*spec)[i] >= '0' && (*spec)[i] <= '9';
+      };
       std::size_t first = at[below(at.size())];
       std::size_t last = first;
-      while (first > 0 && all_digits(spec->substr(first - 1, 1))) --first;
-      while (last + 1 < spec->size() && all_digits(spec->substr(last + 1, 1))) {
-        ++last;
-      }
+      while (first > 0 && digit(first - 1)) --first;
+      while (last + 1 < spec->size() && digit(last + 1)) ++last;
       spec->replace(first, last - first + 1, digit_run());
       break;
     }
